@@ -51,17 +51,6 @@ class UrbWaiter : public sim::Module {
   std::uint64_t expect_;
 };
 
-/// Problems whose constructions rely on Sigma-style quorum histories:
-/// their failure patterns — scripted or reconstructed by injection —
-/// must keep a majority correct.
-bool needs_majority(const std::string& problem) {
-  return problem == "consensus" || problem == "consensus-live-bug" ||
-         problem == "consensus-crash-live-bug" || problem == "qc" ||
-         problem == "nbac" || problem == "sigma" ||
-         problem == "register" || problem == "register-regular" ||
-         problem == "abcast";
-}
-
 std::vector<std::int64_t> proposals(int n) {
   std::vector<std::int64_t> out;
   for (int i = 0; i < n; ++i) out.push_back(i % 2);
@@ -72,48 +61,316 @@ std::vector<std::int64_t> proposals(int n) {
 
 }  // namespace
 
-ScenarioFactory::ScenarioFactory(ScenarioOptions opt) : opt_(std::move(opt)) {
-  WFD_CHECK_MSG(validate(opt_).empty(), "invalid scenario options");
+/// What a wiring function builds into: the simulator, the scenario's
+/// property lists, and the per-process views the liveness clauses read.
+struct ScenarioWiring {
+  sim::Simulator& sim;
+  Scenario& out;
+  std::vector<std::function<bool()>> leading;
+  std::vector<FdCompletenessClause::View> fd_views;
+};
+
+namespace {
+
+using Classes = std::vector<std::vector<ProcessId>>;
+
+// ---- Properties shared by several rows -----------------------------------
+
+/// Agreement and validity on `key` decisions, plus eventual decision.
+void add_decision_checks(Scenario& out, const std::string& key,
+                         std::vector<std::int64_t> allowed) {
+  out.invariants.push_back(std::make_unique<AgreementInvariant>(key));
+  out.invariants.push_back(
+      std::make_unique<ValidityInvariant>(key, std::move(allowed)));
+  out.eventuals.push_back(std::make_unique<EventualDecisionProperty>(key));
 }
 
-const std::vector<ProblemSpec>& ScenarioFactory::problems() {
-  static const std::vector<ProblemSpec> kProblems = {
-      {"consensus"}, {"consensus-bug"},    {"consensus-crash-bug"},
-      {"consensus-live-bug"},               {"consensus-crash-live-bug"},
-      {"qc"},        {"nbac"},             {"sigma"},
-      {"register"},  {"register-regular"}, {"abcast"},
-      {"rb"},
-      // The implementable heartbeat Omega is a service: its modules are
-      // never done, so bounded-safety exhaustion has no halting states
-      // to prune and fills the horizon everywhere. Exhaustive mode
-      // exists for --liveness=fd-completeness (fair-cycle search over
-      // the depth-bounded state graph, with truncation reported);
-      // campaign (randomized liveness) and replay remain the scalable
-      // modes.
-      {"omega-impl"},
+void add_sigma_check(const ScenarioOptions& opt, Scenario& out) {
+  if (opt.record_fd_samples) {
+    out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
+  }
+}
+
+// ---- Wiring, one function per row -----------------------------------------
+
+/// The (Omega, Sigma) consensus protocol, or one of its seeded
+/// liveness-bug variants.
+template <class Cons>
+void wire_omega_sigma_consensus(const ScenarioOptions& opt,
+                                ScenarioWiring& w) {
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    consensus::OmegaSigmaConsensusModule<int>* c =
+        &host.add_module<Cons>("cons");
+    c->propose(i % 2, {});
+    w.leading.emplace_back([c] { return c->is_leading(); });
+  }
+  add_decision_checks(w.out, "decide", proposals(opt.n));
+  add_sigma_check(opt, w.out);
+}
+
+/// consensus-bug: detector-free, keeping its choice tree purely about
+/// schedules.
+void wire_first_heard(const ScenarioOptions& opt, ScenarioWiring& w) {
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    host.add_module<FirstHeardConsensusModule>("cons").propose(i % 2);
+  }
+  add_decision_checks(w.out, "decide", proposals(opt.n));
+}
+
+/// Coordinator (p0) proposes 0, everyone else 1: the two-phase bug
+/// flips the outcome only when the coordinator dies in its
+/// decide-to-broadcast window (see seeded_bug.h). The participants'
+/// fallback path reads FS.
+void wire_crash_timing(const ScenarioOptions& opt, ScenarioWiring& w) {
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    host.add_module<CrashTimingConsensusModule>("cons").propose(i == 0 ? 0
+                                                                      : 1);
+  }
+  add_decision_checks(w.out, "decide", {0, 1});
+}
+
+void wire_qc(const ScenarioOptions& opt, ScenarioWiring& w) {
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    host.add_module<qc::PsiQcModule<int>>("qc").propose(i % 2, {});
+  }
+  auto allowed = proposals(opt.n);
+  allowed.push_back(-1);  // Q.
+  add_decision_checks(w.out, "qc-decide", std::move(allowed));
+  w.out.invariants.push_back(std::make_unique<QuitValidityInvariant>());
+  add_sigma_check(opt, w.out);
+}
+
+void wire_nbac(const ScenarioOptions& opt, ScenarioWiring& w) {
+  std::vector<nbac::Vote> votes;
+  for (int i = 0; i < opt.n; ++i) {
+    votes.push_back(i == opt.nbac_no_voter ? nbac::Vote::kNo
+                                           : nbac::Vote::kYes);
+  }
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
+    auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
+    nb.vote(votes[static_cast<std::size_t>(i)], {});
+  }
+  w.out.invariants.push_back(
+      std::make_unique<AgreementInvariant>("nbac-decide"));
+  w.out.invariants.push_back(std::make_unique<NbacValidityInvariant>(votes));
+  w.out.eventuals.push_back(
+      std::make_unique<EventualDecisionProperty>("nbac-decide"));
+}
+
+void wire_sigma(const ScenarioOptions& opt, ScenarioWiring& w) {
+  for (int i = 0; i < opt.n; ++i) w.sim.add_process<FdProbeProcess>();
+  w.out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
+}
+
+/// Sigma-quorum ABD register under a deterministic workload: process 0
+/// writes, processes 1..readers read, all against the same replicated
+/// register; the shared History feeds the linearizability checker.
+/// Without read write-back (register-regular) the register is only
+/// regular, which seeds reachable new-old inversions. Lossy links route
+/// the register's point-to-point traffic through the quasi-reliable
+/// retransmission wrapper.
+template <bool kAtomicReads>
+void wire_register(const ScenarioOptions& opt, ScenarioWiring& w) {
+  auto inv = std::make_unique<RegisterAtomicityInvariant>(0);
+  reg::History* hist = &inv->history();
+  const bool lossy = opt.loss_drops > 0 || opt.loss_dups > 0;
+  const int readers = opt.reg_readers == 0 ? opt.n - 1 : opt.reg_readers;
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    reg::AbdRegisterModule<std::int64_t>::Options ro;
+    ro.rule = reg::QuorumRule::kSigma;
+    ro.atomic_reads = kAtomicReads;
+    auto& r = host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg", ro);
+    if (lossy) {
+      r.set_transport(&host.add_module<broadcast::QuasiReliableModule>("qr"));
+    }
+    if (i > readers) continue;  // Pure replica.
+    reg::RegisterWorkloadModule::Options wo;
+    wo.num_ops = opt.reg_ops;
+    wo.write_percent = (i == 0) ? 100 : 0;
+    host.add_module<reg::RegisterWorkloadModule>("client", &r, hist, wo);
+  }
+  w.out.invariants.push_back(std::move(inv));
+  add_sigma_check(opt, w.out);
+}
+
+/// Chandra-Toueg atomic broadcast over (Omega, Sigma) consensus rounds;
+/// the first abcast_senders processes each broadcast one message and the
+/// invariant checks prefix-consistent delivery logs.
+void wire_abcast(const ScenarioOptions& opt, ScenarioWiring& w) {
+  auto inv = std::make_unique<TotalOrderInvariant>(opt.n);
+  TotalOrderInvariant* tot = inv.get();
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    auto& ab = host.add_module<broadcast::AtomicBroadcastModule>("abcast");
+    const auto p = static_cast<ProcessId>(i);
+    ab.set_deliver([tot, p](const broadcast::AppMessage& m) {
+      tot->record(p, static_cast<std::uint64_t>(m.origin), m.seq, m.body);
+    });
+    if (i < opt.abcast_senders) ab.abcast(100 + i);
+  }
+  w.out.invariants.push_back(std::move(inv));
+}
+
+/// Uniform reliable broadcast alone, detector-free: the first
+/// abcast_senders processes each urb-broadcast one message and the
+/// invariant checks integrity (each message delivered at most once per
+/// process, and only messages actually broadcast). The echo relay storm
+/// is the content-dependence showcase: equal-content echoes from
+/// distinct relayers all commute, so DPOR under the payload relation
+/// collapses the relayer interleavings that the process relation must
+/// enumerate.
+void wire_rb(const ScenarioOptions& opt, ScenarioWiring& w) {
+  auto inv =
+      std::make_unique<UrbIntegrityInvariant>(opt.n, opt.abcast_senders);
+  UrbIntegrityInvariant* urb = inv.get();
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    auto& rb = host.add_module<broadcast::UrbModule>("rb");
+    const auto p = static_cast<ProcessId>(i);
+    rb.set_deliver([urb, p](const broadcast::AppMessage& m) {
+      urb->record(p, static_cast<std::uint64_t>(m.origin), m.seq, m.body);
+    });
+    if (i < opt.abcast_senders) rb.urb_broadcast(100 + i);
+    host.add_module<UrbWaiter>(
+        "wait", &rb, static_cast<std::uint64_t>(opt.abcast_senders));
+  }
+  w.out.invariants.push_back(std::move(inv));
+}
+
+/// The *implemented* heartbeat/lease Omega (the module the runtime host
+/// runs behind the replicated KV), model-checked as an ordinary module:
+/// no oracle component is enabled, so the only nondeterminism is the
+/// schedule (plus injected crashes). The eventual property is the Omega
+/// specification itself — on fair-enough schedules every correct
+/// process's *last* emitted leader is the smallest correct process.
+/// Timing is deliberately conservative (timeout = 12 periods, with
+/// adaptive doubling on any false suspicion) so random fair schedules
+/// within the horizon count as "synchronous enough".
+void wire_omega_impl(const ScenarioOptions& opt, ScenarioWiring& w) {
+  fd::HeartbeatOmegaModule::Options ho;
+  ho.period = static_cast<Time>(2 * opt.n);
+  ho.timeout = 12 * ho.period;
+  ho.lease = 2 * ho.timeout;
+  for (int i = 0; i < opt.n; ++i) {
+    auto& host = w.sim.add_process<sim::ModularProcess>();
+    fd::HeartbeatOmegaModule* om =
+        &host.add_module<fd::HeartbeatOmegaModule>("omega", ho);
+    w.fd_views.push_back(FdCompletenessClause::View{
+        [om] { return om->current_leader(); },
+        [om] { return om->suspected().raw(); }});
+  }
+  w.out.eventuals.push_back(
+      std::make_unique<EventualLeadershipProperty>("omega-leader"));
+}
+
+// ---- Symmetry rules --------------------------------------------------------
+
+/// Initial proposals are i % 2: same-parity processes run identical
+/// modules with identical inputs.
+Classes parity_classes(const ScenarioOptions& opt) {
+  Classes out(2);
+  for (int i = 0; i < opt.n; ++i) out[i % 2].push_back(i);
+  return out;
+}
+
+/// Every Yes voter is interchangeable; the No voter (if any) is a
+/// singleton role.
+Classes yes_voter_class(const ScenarioOptions& opt) {
+  Classes out(1);
+  for (int i = 0; i < opt.n; ++i) {
+    if (i != opt.nbac_no_voter) out[0].push_back(i);
+  }
+  return out;
+}
+
+/// Pure FD probes: every process is identical.
+Classes all_processes(const ScenarioOptions& opt) {
+  Classes out(1);
+  for (int i = 0; i < opt.n; ++i) out[0].push_back(i);
+  return out;
+}
+
+/// Process 0 writes; 1..readers read; the rest are pure replicas.
+Classes register_roles(const ScenarioOptions& opt) {
+  const int readers = opt.reg_readers == 0 ? opt.n - 1 : opt.reg_readers;
+  Classes out(2);
+  for (int i = 1; i < opt.n; ++i) out[i <= readers ? 0 : 1].push_back(i);
+  return out;
+}
+
+}  // namespace
+
+// The problem table. abcast/rb broadcast distinct values per sender,
+// consensus-crash-bug has a distinguished coordinator, omega-impl elects
+// by smallest pid, and the liveness-bug variants were never verified
+// symmetric — none has a symmetry rule.
+// omega-impl's modules are services that are never done, so bounded
+// safety has nothing to check on it; exhaustive mode serves
+// --liveness=fd-completeness and randomized campaigns its eventual
+// leadership.
+std::span<const ProblemSpec> ScenarioFactory::problems() {
+  constexpr Detectors kNone{};
+  constexpr Detectors kOmegaSigma{.omega = true, .sigma = true};
+  constexpr Detectors kSigma{.sigma = true};
+  constexpr Detectors kPsi{.psi = true};
+  constexpr Detectors kPsiFs{.psi = true, .fs = true};
+  constexpr Detectors kFs{.fs = true};
+  using consensus::OmegaSigmaConsensusModule;
+  static constexpr ProblemSpec kProblems[] = {
+      {"consensus", kOmegaSigma, {"termination", "leadership"},
+       parity_classes, true,
+       wire_omega_sigma_consensus<OmegaSigmaConsensusModule<int>>},
+      {"consensus-bug", kNone, {"termination"}, parity_classes, true,
+       wire_first_heard},
+      {"consensus-crash-bug", kFs, {}, nullptr, true, wire_crash_timing},
+      {"consensus-live-bug", kOmegaSigma, {"termination", "leadership"},
+       nullptr, true,
+       wire_omega_sigma_consensus<GiveUpLeaderConsensusModule>},
+      {"consensus-crash-live-bug", kOmegaSigma,
+       {"termination", "leadership"}, nullptr, true,
+       wire_omega_sigma_consensus<DeferToPromisedConsensusModule>},
+      {"qc", kPsi, {"termination"}, parity_classes, true, wire_qc},
+      {"nbac", kPsiFs, {"termination"}, yes_voter_class, true, wire_nbac},
+      {"sigma", kSigma, {}, all_processes, true, wire_sigma},
+      {"register", kSigma, {}, register_roles, true, wire_register<true>},
+      {"register-regular", kSigma, {}, register_roles, true,
+       wire_register<false>},
+      {"abcast", kOmegaSigma, {}, nullptr, true, wire_abcast},
+      {"rb", kNone, {"termination"}, nullptr, true, wire_rb},
+      {"omega-impl", kNone, {"fd-completeness"}, nullptr, false,
+       wire_omega_impl},
   };
   return kProblems;
 }
 
-bool ScenarioFactory::supports_mode(const std::string& problem,
-                                    const std::string& mode) {
+const ProblemSpec* ScenarioFactory::find(std::string_view problem) {
   for (const ProblemSpec& p : problems()) {
-    if (p.name != problem) continue;
-    if (mode == "exhaustive") return p.exhaustive;
-    if (mode == "campaign") return p.campaign;
-    if (mode == "replay") return p.replay;
-    return false;
+    if (p.name == problem) return &p;
   }
-  return false;
+  return nullptr;
+}
+
+ScenarioFactory::ScenarioFactory(ScenarioOptions opt)
+    : opt_(std::move(opt)), spec_(find(opt_.problem)) {
+  WFD_CHECK_MSG(validate(opt_).empty(), "invalid scenario options");
 }
 
 std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
+  const ProblemSpec* spec = find(opt.problem);
   if (opt.n < 1 || opt.n > kMaxProcesses) return "n out of range";
   if (opt.crashes < 0 || opt.crashes >= opt.n) {
     return "crashes must be in [0, n)";
   }
   if (opt.max_steps == 0) return "max_steps must be positive";
-  if (needs_majority(opt.problem) && 2 * opt.crashes >= opt.n) {
+  if (spec != nullptr && spec->fd.needs_majority() &&
+      2 * opt.crashes >= opt.n) {
     return "problem '" + opt.problem +
            "' explores Sigma histories and needs a majority-correct "
            "pattern (crashes < n/2)";
@@ -138,9 +395,7 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     return "fd_adversarial defers convergence past the horizon and "
            "requires stabilization == kNever";
   }
-  bool known = false;
-  for (const ProblemSpec& p : problems()) known = known || p.name == opt.problem;
-  if (!known) return "unknown problem '" + opt.problem + "'";
+  if (spec == nullptr) return "unknown problem '" + opt.problem + "'";
   if (opt.nbac_no_voter != kNoProcess &&
       (opt.nbac_no_voter < 0 || opt.nbac_no_voter >= opt.n)) {
     return "nbac_no_voter out of range";
@@ -153,11 +408,12 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     return "abcast_senders must be in [1, n]";
   }
   if (!opt.liveness.empty()) {
-    const std::vector<std::string> clauses = liveness_clauses(opt.problem);
+    const auto& clauses = spec->liveness;
     if (std::find(clauses.begin(), clauses.end(), opt.liveness) ==
         clauses.end()) {
       std::string avail;
-      for (const std::string& c : clauses) {
+      for (std::string_view c : clauses) {
+        if (c.empty()) continue;
         if (!avail.empty()) avail += ", ";
         avail += c;
       }
@@ -186,13 +442,7 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
              "directed channel in an n x n bitset and supports n <= " +
              std::to_string(kLiveChannelStride);
     }
-    // Among the liveness-capable problems, these consult an oracle
-    // component (mirrors the table in build()).
-    const bool oracle_backed = opt.problem == "consensus" ||
-                               opt.problem == "consensus-live-bug" ||
-                               opt.problem == "consensus-crash-live-bug" ||
-                               opt.problem == "qc" || opt.problem == "nbac";
-    if (oracle_backed && opt.fd_per_query) {
+    if (spec->fd.any() && opt.fd_per_query) {
       return "liveness checking requires --fd=static on oracle-backed "
              "problems: a cycle of per-query detector choices is a "
              "flapping history, illegal in the limit";
@@ -201,12 +451,13 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     // oracle re-picks invalidated values at each crash point, so the
     // limit history is converged for the final crash set), but FS has
     // no such repair: a per-query green-after-crash choice is legal in
-    // every prefix yet illegal in the limit, so nbac's FS component
-    // cannot compose with a crash budget.
-    if (opt.problem == "nbac" && opt.crashes > 0) {
-      return "liveness checking on nbac requires a crash-free pattern: "
-             "the FS component's per-query choices are illegal in the "
-             "limit under explored crashes";
+    // every prefix yet illegal in the limit, so an FS component cannot
+    // compose with a crash budget.
+    if (spec->fd.fs && opt.crashes > 0) {
+      return "liveness checking on " + opt.problem +
+             " requires a crash-free pattern: the FS component's "
+             "per-query choices are illegal in the limit under explored "
+             "crashes";
     }
     if (opt.crashes > 0 && opt.crash_mode != "explore") {
       return "liveness checking requires crash_mode 'explore' when "
@@ -218,27 +469,8 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
 }
 
 bool ScenarioFactory::pattern_sensitive(const ScenarioOptions& opt) {
-  // Mirrors the oracle-component table in build(): FS and Psi are the
-  // only components whose outputs read failure_by(t) mid-run.
-  return opt.problem == "qc" || opt.problem == "nbac" ||
-         opt.problem == "consensus-crash-bug";
-}
-
-std::vector<std::string> ScenarioFactory::liveness_clauses(
-    const std::string& problem) {
-  std::vector<std::string> out;
-  if (problem == "consensus" || problem == "consensus-bug" ||
-      problem == "consensus-live-bug" ||
-      problem == "consensus-crash-live-bug" || problem == "qc" ||
-      problem == "nbac" || problem == "rb") {
-    out.emplace_back("termination");
-  }
-  if (problem == "consensus" || problem == "consensus-live-bug" ||
-      problem == "consensus-crash-live-bug") {
-    out.emplace_back("leadership");
-  }
-  if (problem == "omega-impl") out.emplace_back("fd-completeness");
-  return out;
+  const ProblemSpec* spec = find(opt.problem);
+  return spec != nullptr && spec->fd.pattern_sensitive();
 }
 
 std::vector<std::vector<ProcessId>> ScenarioFactory::symmetry_classes(
@@ -251,49 +483,10 @@ std::vector<std::vector<ProcessId>> ScenarioFactory::symmetry_classes(
   // which renaming does not commute with; kNever keeps every query a
   // symmetric menu choice.
   if (opt.stabilization != kNever) return {};
-  std::vector<std::vector<ProcessId>> classes;
-  const auto add = [&classes](std::vector<ProcessId> cls) {
-    if (cls.size() >= 2) classes.push_back(std::move(cls));
-  };
-  if (opt.problem == "consensus" || opt.problem == "consensus-bug" ||
-      opt.problem == "qc") {
-    // Initial proposals are i % 2: same-parity processes run identical
-    // modules with identical inputs.
-    std::vector<ProcessId> evens;
-    std::vector<ProcessId> odds;
-    for (int i = 0; i < opt.n; ++i) {
-      (i % 2 == 0 ? evens : odds).push_back(i);
-    }
-    add(std::move(evens));
-    add(std::move(odds));
-  } else if (opt.problem == "nbac") {
-    // Every Yes voter is interchangeable; the No voter (if any) is a
-    // singleton role.
-    std::vector<ProcessId> yes;
-    for (int i = 0; i < opt.n; ++i) {
-      if (i != opt.nbac_no_voter) yes.push_back(i);
-    }
-    add(std::move(yes));
-  } else if (opt.problem == "sigma") {
-    // Pure FD probes: every process is identical.
-    std::vector<ProcessId> all;
-    for (int i = 0; i < opt.n; ++i) all.push_back(i);
-    add(std::move(all));
-  } else if (opt.problem == "register" || opt.problem == "register-regular") {
-    // Process 0 writes; 1..readers read; the rest are pure replicas.
-    const int readers = opt.reg_readers == 0 ? opt.n - 1 : opt.reg_readers;
-    std::vector<ProcessId> reading;
-    std::vector<ProcessId> replicas;
-    for (int i = 1; i < opt.n; ++i) {
-      (i <= readers ? reading : replicas).push_back(i);
-    }
-    add(std::move(reading));
-    add(std::move(replicas));
-  }
-  // abcast/rb broadcast distinct values per sender, consensus-crash-bug
-  // has a distinguished coordinator, and omega-impl elects by smallest
-  // pid — none verified symmetric (the non-sender / participant classes
-  // would need their module encodes audited first).
+  const ProblemSpec* spec = find(opt.problem);
+  if (spec == nullptr || spec->symmetry == nullptr) return {};
+  Classes classes = spec->symmetry(opt);
+  std::erase_if(classes, [](const auto& cls) { return cls.size() < 2; });
   return classes;
 }
 
@@ -329,6 +522,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   const sim::FailurePattern pattern = make_pattern(choices);
   const sim::SimConfig cfg{opt_.n, opt_.max_steps, opt_.seed,
                            opt_.record_fd_samples};
+  const Detectors& fd = spec_->fd;
 
   ChoiceOracle::Options oo;
   oo.per_query = opt_.fd_per_query;
@@ -336,26 +530,10 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   // Liveness mode: Psi must be a converged limit from the start (see
   // validate()); harmless when no Psi component is enabled.
   oo.psi_converged = !opt_.liveness.empty();
-  if (opt_.problem == "consensus" || opt_.problem == "consensus-live-bug" ||
-      opt_.problem == "consensus-crash-live-bug") {
-    oo.omega = true;
-    oo.sigma = true;
-  } else if (opt_.problem == "qc") {
-    oo.psi = true;
-  } else if (opt_.problem == "nbac") {
-    oo.psi = true;
-    oo.fs = true;
-  } else if (opt_.problem == "sigma" || opt_.problem == "register" ||
-             opt_.problem == "register-regular") {
-    oo.sigma = true;
-  } else if (opt_.problem == "abcast") {
-    oo.omega = true;
-    oo.sigma = true;
-  } else if (opt_.problem == "consensus-crash-bug") {
-    oo.fs = true;  // The participants' fallback path reads FS.
-  }
-  // consensus-bug: all components off — the broken protocol is
-  // detector-free, keeping its choice tree purely about schedules.
+  oo.omega = fd.omega;
+  oo.sigma = fd.sigma;
+  oo.psi = fd.psi;
+  oo.fs = fd.fs;
 
   const bool crash_explore = opt_.crash_mode == "explore";
   // With injected crashes the pattern evolves mid-run; the oracle must
@@ -367,7 +545,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
                   : opt_.crashes > 0 ? inject::CrashMode::kScript
                                      : inject::CrashMode::kNone;
   fp.crash_budget = crash_explore ? opt_.crashes : 0;
-  fp.min_alive = needs_majority(opt_.problem) ? opt_.n / 2 + 1 : 1;
+  fp.min_alive = fd.needs_majority() ? opt_.n / 2 + 1 : 1;
   fp.drop_budget = opt_.loss_drops;
   fp.dup_budget = opt_.loss_dups;
   std::unique_ptr<inject::FaultState> faults;
@@ -389,229 +567,30 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
       cfg, pattern, std::move(oracle),
       std::make_unique<sim::ReplayScheduler>(&choices, so));
   if (faults != nullptr) out.sim->adopt_faults(std::move(faults));
-  sim::Simulator& s = *out.sim;
 
   // Under injection the detector history must stay legal for the pattern
   // the run actually reconstructs — cross-check the prefix-checkable
   // clauses of the enabled components via fd/history_checker.
   if ((opt_.fd_adversarial || crash_explore) && opt_.record_fd_samples &&
-      (oo.fs || oo.psi)) {
+      fd.pattern_sensitive()) {
     out.invariants.push_back(
-        std::make_unique<FdPrefixInvariant>(oo.fs, oo.psi));
-  }
-  // Lossy links: the register problems are the ones written against
-  // quasi-reliable point-to-point channels, so their traffic goes
-  // through the retransmission wrapper (built below, per host).
-  const bool lossy = opt_.loss_drops > 0 || opt_.loss_dups > 0;
-  const bool wrap_register =
-      lossy && (opt_.problem == "register" ||
-                opt_.problem == "register-regular");
-
-  // Per-process views collected while the modules are built, consumed by
-  // the liveness-clause wiring at the end.
-  std::vector<std::function<bool()>> leading_fns;
-  std::vector<FdCompletenessClause::View> fd_views;
-
-  if (opt_.problem == "consensus" || opt_.problem == "consensus-live-bug" ||
-      opt_.problem == "consensus-crash-live-bug") {
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      consensus::OmegaSigmaConsensusModule<int>* c =
-          opt_.problem == "consensus"
-              ? &host.add_module<consensus::OmegaSigmaConsensusModule<int>>(
-                    "cons")
-          : opt_.problem == "consensus-live-bug"
-              ? static_cast<consensus::OmegaSigmaConsensusModule<int>*>(
-                    &host.add_module<GiveUpLeaderConsensusModule>("cons"))
-              : &host.add_module<DeferToPromisedConsensusModule>("cons");
-      c->propose(i % 2, {});
-      leading_fns.emplace_back([c] { return c->is_leading(); });
-    }
-    out.invariants.push_back(std::make_unique<AgreementInvariant>("decide"));
-    out.invariants.push_back(
-        std::make_unique<ValidityInvariant>("decide", proposals(opt_.n)));
-    if (opt_.record_fd_samples) {
-      out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-    }
-    out.eventuals.push_back(
-        std::make_unique<EventualDecisionProperty>("decide"));
-  } else if (opt_.problem == "consensus-bug") {
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& c = host.add_module<FirstHeardConsensusModule>("cons");
-      c.propose(i % 2);
-    }
-    out.invariants.push_back(std::make_unique<AgreementInvariant>("decide"));
-    out.invariants.push_back(
-        std::make_unique<ValidityInvariant>("decide", proposals(opt_.n)));
-    out.eventuals.push_back(
-        std::make_unique<EventualDecisionProperty>("decide"));
-  } else if (opt_.problem == "consensus-crash-bug") {
-    // Coordinator (p0) proposes 0, everyone else 1: the two-phase bug
-    // flips the outcome only when the coordinator dies in its
-    // decide-to-broadcast window (see seeded_bug.h).
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& c = host.add_module<CrashTimingConsensusModule>("cons");
-      c.propose(i == 0 ? 0 : 1);
-    }
-    out.invariants.push_back(std::make_unique<AgreementInvariant>("decide"));
-    out.invariants.push_back(
-        std::make_unique<ValidityInvariant>("decide",
-                                            std::vector<std::int64_t>{0, 1}));
-    out.eventuals.push_back(
-        std::make_unique<EventualDecisionProperty>("decide"));
-  } else if (opt_.problem == "qc") {
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-      q.propose(i % 2, {});
-    }
-    auto allowed = proposals(opt_.n);
-    allowed.push_back(-1);  // Q.
-    out.invariants.push_back(
-        std::make_unique<AgreementInvariant>("qc-decide"));
-    out.invariants.push_back(
-        std::make_unique<ValidityInvariant>("qc-decide", std::move(allowed)));
-    out.invariants.push_back(std::make_unique<QuitValidityInvariant>());
-    if (opt_.record_fd_samples) {
-      out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-    }
-    out.eventuals.push_back(
-        std::make_unique<EventualDecisionProperty>("qc-decide"));
-  } else if (opt_.problem == "nbac") {
-    std::vector<nbac::Vote> votes;
-    for (int i = 0; i < opt_.n; ++i) {
-      votes.push_back(i == opt_.nbac_no_voter ? nbac::Vote::kNo
-                                              : nbac::Vote::kYes);
-    }
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& q = host.add_module<qc::PsiQcModule<int>>("qc");
-      auto& nb = host.add_module<nbac::NbacFromQcModule>("nbac", &q);
-      nb.vote(votes[static_cast<std::size_t>(i)], {});
-    }
-    out.invariants.push_back(
-        std::make_unique<AgreementInvariant>("nbac-decide"));
-    out.invariants.push_back(std::make_unique<NbacValidityInvariant>(votes));
-    out.eventuals.push_back(
-        std::make_unique<EventualDecisionProperty>("nbac-decide"));
-  } else if (opt_.problem == "sigma") {
-    for (int i = 0; i < opt_.n; ++i) s.add_process<FdProbeProcess>();
-    out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-  } else if (opt_.problem == "register" ||
-             opt_.problem == "register-regular") {
-    // Sigma-quorum ABD register under a deterministic workload: process 0
-    // writes, everyone else reads, all against the same replicated
-    // register; the shared History feeds the linearizability checker.
-    // register-regular drops the read write-back (the register is then
-    // only regular), which seeds reachable new-old inversions.
-    auto inv = std::make_unique<RegisterAtomicityInvariant>(0);
-    reg::History* hist = &inv->history();
-    const int readers =
-        opt_.reg_readers == 0 ? opt_.n - 1 : opt_.reg_readers;
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      reg::AbdRegisterModule<std::int64_t>::Options ro;
-      ro.rule = reg::QuorumRule::kSigma;
-      ro.atomic_reads = opt_.problem == "register";
-      auto& r =
-          host.add_module<reg::AbdRegisterModule<std::int64_t>>("reg", ro);
-      if (wrap_register) {
-        auto& qr = host.add_module<broadcast::QuasiReliableModule>("qr");
-        r.set_transport(&qr);
-      }
-      if (i > readers) continue;  // Pure replica.
-      reg::RegisterWorkloadModule::Options wo;
-      wo.num_ops = opt_.reg_ops;
-      wo.write_percent = (i == 0) ? 100 : 0;
-      host.add_module<reg::RegisterWorkloadModule>("client", &r, hist, wo);
-    }
-    out.invariants.push_back(std::move(inv));
-    if (opt_.record_fd_samples) {
-      out.invariants.push_back(std::make_unique<SigmaIntersectionInvariant>());
-    }
-  } else if (opt_.problem == "abcast") {
-    // Chandra-Toueg atomic broadcast over (Omega, Sigma) consensus
-    // rounds; the first abcast_senders processes each broadcast one
-    // message and the invariant checks prefix-consistent delivery logs.
-    auto inv = std::make_unique<TotalOrderInvariant>(opt_.n);
-    TotalOrderInvariant* tot = inv.get();
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& ab =
-          host.add_module<broadcast::AtomicBroadcastModule>("abcast");
-      const auto p = static_cast<ProcessId>(i);
-      ab.set_deliver([tot, p](const broadcast::AppMessage& m) {
-        tot->record(p, static_cast<std::uint64_t>(m.origin), m.seq, m.body);
-      });
-      if (i < opt_.abcast_senders) ab.abcast(100 + i);
-    }
-    out.invariants.push_back(std::move(inv));
-  } else if (opt_.problem == "rb") {
-    // Uniform reliable broadcast alone, detector-free: the first
-    // abcast_senders processes each urb-broadcast one message and the
-    // invariant checks integrity (each message delivered at most once
-    // per process, and only messages actually broadcast). The echo
-    // relay storm is the content-dependence showcase: equal-content
-    // echoes from distinct relayers all commute, so DPOR under the
-    // payload relation collapses the relayer interleavings that the
-    // process relation must enumerate.
-    auto inv = std::make_unique<UrbIntegrityInvariant>(
-        opt_.n, opt_.abcast_senders);
-    UrbIntegrityInvariant* urb = inv.get();
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& rb = host.add_module<broadcast::UrbModule>("rb");
-      const auto p = static_cast<ProcessId>(i);
-      rb.set_deliver([urb, p](const broadcast::AppMessage& m) {
-        urb->record(p, static_cast<std::uint64_t>(m.origin), m.seq, m.body);
-      });
-      if (i < opt_.abcast_senders) rb.urb_broadcast(100 + i);
-      host.add_module<UrbWaiter>(
-          "wait", &rb, static_cast<std::uint64_t>(opt_.abcast_senders));
-    }
-    out.invariants.push_back(std::move(inv));
-  } else if (opt_.problem == "omega-impl") {
-    // The *implemented* heartbeat/lease Omega (the module the runtime
-    // host runs behind the replicated KV), model-checked as an ordinary
-    // module: no oracle component is enabled, so the only
-    // nondeterminism is the schedule (plus injected crashes). The
-    // eventual property is the Omega specification itself — on
-    // fair-enough schedules every correct process's *last* emitted
-    // leader is the smallest correct process. Timing is deliberately
-    // conservative (timeout = 12 periods, with adaptive doubling on any
-    // false suspicion) so random fair schedules within the horizon count
-    // as "synchronous enough".
-    fd::HeartbeatOmegaModule::Options ho;
-    ho.period = static_cast<Time>(2 * opt_.n);
-    ho.timeout = 12 * ho.period;
-    ho.lease = 2 * ho.timeout;
-    for (int i = 0; i < opt_.n; ++i) {
-      auto& host = s.add_process<sim::ModularProcess>();
-      auto& om = host.add_module<fd::HeartbeatOmegaModule>("omega", ho);
-      fd::HeartbeatOmegaModule* omp = &om;
-      fd_views.push_back(FdCompletenessClause::View{
-          [omp] { return omp->current_leader(); },
-          [omp] { return omp->suspected().raw(); }});
-    }
-    out.eventuals.push_back(
-        std::make_unique<EventualLeadershipProperty>("omega-leader"));
+        std::make_unique<FdPrefixInvariant>(fd.fs, fd.psi));
   }
 
-  if (!opt_.liveness.empty()) {
-    if (opt_.liveness == "termination") {
-      out.liveness.push_back(std::make_unique<TerminationClause>());
-    } else if (opt_.liveness == "leadership") {
-      WFD_CHECK(!leading_fns.empty());
-      out.liveness.push_back(
-          std::make_unique<LeadershipClause>(std::move(leading_fns)));
-    } else {
-      WFD_CHECK_MSG(opt_.liveness == "fd-completeness" && !fd_views.empty(),
-                    "liveness clause survived validate() unwired");
-      out.liveness.push_back(
-          std::make_unique<FdCompletenessClause>(std::move(fd_views)));
-    }
+  ScenarioWiring w{*out.sim, out, {}, {}};
+  spec_->wire(opt_, w);
+
+  if (opt_.liveness == "termination") {
+    out.liveness.push_back(std::make_unique<TerminationClause>());
+  } else if (opt_.liveness == "leadership") {
+    WFD_CHECK(!w.leading.empty());
+    out.liveness.push_back(
+        std::make_unique<LeadershipClause>(std::move(w.leading)));
+  } else if (!opt_.liveness.empty()) {
+    WFD_CHECK_MSG(opt_.liveness == "fd-completeness" && !w.fd_views.empty(),
+                  "liveness clause survived validate() unwired");
+    out.liveness.push_back(
+        std::make_unique<FdCompletenessClause>(std::move(w.fd_views)));
   }
   return out;
 }
@@ -633,8 +612,8 @@ std::optional<std::uint64_t> scenario_fingerprint(const Scenario& sc) {
 }
 
 ScenarioBuilder ScenarioFactory::builder() const {
-  return [opt = opt_](sim::ChoiceSource& choices) {
-    return ScenarioFactory(opt).build(choices);
+  return [factory = *this](sim::ChoiceSource& choices) {
+    return factory.build(choices);
   };
 }
 

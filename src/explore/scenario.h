@@ -8,13 +8,23 @@
 // history (ChoiceOracle) and, when crash times are not pinned, the
 // failure pattern itself (kEnvironment choices over a small menu of
 // crash times).
+//
+// Each problem is one row of a static table (ProblemSpec): its detector
+// components, liveness clauses, symmetry rule, whether it has safety
+// invariants, and a wiring function. Everything that depends on the
+// problem — validation, the oracle's components, the fault plan's
+// majority floor, the explorer's reduction gates — reads the row; no
+// rule is keyed on the problem's name.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore/property.h"
@@ -24,8 +34,7 @@
 namespace wfd::explore {
 
 struct ScenarioOptions {
-  /// consensus | consensus-bug | consensus-crash-bug | qc | nbac | sigma |
-  /// register | register-regular | abcast | rb.
+  /// A ProblemSpec name (ScenarioFactory::problems()).
   std::string problem = "consensus";
   int n = 3;
   int crashes = 0;
@@ -77,7 +86,7 @@ struct ScenarioOptions {
   bool lambda_always = true;
   /// Liveness clause to check by fair-cycle search over the explored
   /// state graph (empty = bounded safety checking only). Clause names
-  /// and per-problem availability: ScenarioFactory::liveness_clauses.
+  /// and per-problem availability: ProblemSpec::liveness.
   /// Liveness mode constrains the rest of the scenario (static converged
   /// detector histories, no scripted crashes, lambda_always) — see
   /// validate() — so that every infinite unrolling of a graph cycle is a
@@ -107,12 +116,58 @@ struct Scenario {
 /// source. Copyable and cheap; the explorer re-invokes it per run.
 using ScenarioBuilder = std::function<Scenario(sim::ChoiceSource&)>;
 
-/// Registry entry: a problem name plus the driver modes it supports.
+/// The detector a problem's construction queries, as components of the
+/// product detector ChoiceOracle drives — the paper's table: Sigma for
+/// registers, (Omega, Sigma) for consensus, Psi for QC, (Psi, FS) for
+/// NBAC. The factory derives every component-dependent rule from it.
+struct Detectors {
+  bool omega = false;
+  bool sigma = false;
+  bool psi = false;
+  bool fs = false;
+
+  /// Any oracle component at all.
+  [[nodiscard]] constexpr bool any() const {
+    return omega || sigma || psi || fs;
+  }
+  /// Sigma-style quorum histories (Psi's (Omega, Sigma) branch
+  /// included) exist only while a majority is correct, so the failure
+  /// pattern — scripted or reconstructed by injection — must keep one.
+  [[nodiscard]] constexpr bool needs_majority() const { return sigma || psi; }
+  /// FS and Psi are the only components whose outputs read the evolving
+  /// failure pattern (failure_by(t)) mid-run: an injected crash is then
+  /// observable by every process through its next query, and the
+  /// explorer must keep crash labels dependent with everything. Omega
+  /// and Sigma menus — static or per-query, adversarial included —
+  /// never re-read the pattern before stabilization.
+  [[nodiscard]] constexpr bool pattern_sensitive() const { return psi || fs; }
+};
+
+/// Per-build wiring state, private to the factory (scenario.cpp).
+struct ScenarioWiring;
+
+/// One row of the problem table: everything the factory knows about a
+/// problem. Every mode (--exhaustive, --campaign, --replay) runs every
+/// problem.
 struct ProblemSpec {
-  std::string name;
-  bool exhaustive = true;
-  bool campaign = true;
-  bool replay = true;
+  std::string_view name;
+  Detectors fd;
+  /// Liveness clause names available for the problem (unused slots
+  /// empty). "termination" covers consensus/QC/NBAC decisions and rb
+  /// delivery completion uniformly; "leadership" is the Omega
+  /// eventual-leadership goal on the (Omega, Sigma) consensus
+  /// protocols; "fd-completeness" checks the implemented heartbeat
+  /// Omega's strong completeness.
+  std::array<std::string_view, 2> liveness;
+  /// Candidate interchangeable-process classes (see symmetry_classes),
+  /// or nullptr when the problem is not verified symmetric.
+  std::vector<std::vector<ProcessId>> (*symmetry)(const ScenarioOptions&);
+  /// Whether the problem carries safety invariants. Without them an
+  /// exhaustive search can find nothing but liveness lassos, so the
+  /// campaign skips its frontier search.
+  bool has_invariants;
+  /// Adds the processes, modules, invariants and eventual properties.
+  void (*wire)(const ScenarioOptions&, ScenarioWiring&);
 };
 
 class ScenarioFactory {
@@ -121,35 +176,17 @@ class ScenarioFactory {
 
   [[nodiscard]] const ScenarioOptions& options() const { return opt_; }
 
-  /// Every problem build() understands, with its supported modes. All
-  /// current scenarios support the full --exhaustive/--campaign/--replay
-  /// triple; drivers must consult this and reject an unsupported
-  /// combination explicitly (exit 2 in wfd_check) rather than silently
-  /// falling back to another mode.
-  [[nodiscard]] static const std::vector<ProblemSpec>& problems();
-  /// mode is "exhaustive", "campaign" or "replay".
-  [[nodiscard]] static bool supports_mode(const std::string& problem,
-                                          const std::string& mode);
+  /// The problem table: every problem build() understands.
+  [[nodiscard]] static std::span<const ProblemSpec> problems();
+  /// The row named `problem`, or nullptr when there is none.
+  [[nodiscard]] static const ProblemSpec* find(std::string_view problem);
 
   /// Empty string when the options are valid, else a diagnosis.
   [[nodiscard]] static std::string validate(const ScenarioOptions& opt);
 
-  /// True when the enabled detector components read the *evolving*
-  /// failure pattern mid-run (an FS or Psi component consults
-  /// failure_by(t)): an injected crash is then observable by every
-  /// process through its next query, and the explorer must keep crash
-  /// labels dependent with everything. Omega/Sigma menus — static or
-  /// per-query, adversarial included — never re-read the pattern before
-  /// stabilization, and exploration requires stabilization == kNever.
+  /// Detectors::pattern_sensitive of the problem's row (false for an
+  /// unknown problem).
   [[nodiscard]] static bool pattern_sensitive(const ScenarioOptions& opt);
-
-  /// The liveness clause names available for `problem` (possibly empty).
-  /// "termination" covers consensus/QC/NBAC decisions and rb delivery
-  /// completion uniformly; "leadership" is the Omega eventual-leadership
-  /// goal on the (Omega, Sigma) consensus protocols; "fd-completeness"
-  /// checks the implemented heartbeat Omega's strong completeness.
-  [[nodiscard]] static std::vector<std::string> liveness_clauses(
-      const std::string& problem);
 
   /// Interchangeable-process classes for symmetry reduction: renaming
   /// processes within a class maps runs to runs (identical modules,
@@ -165,7 +202,8 @@ class ScenarioFactory {
 
   [[nodiscard]] Scenario build(sim::ChoiceSource& choices) const;
 
-  /// The build() entry point as a value (captures the options by copy).
+  /// The build() entry point as a value (captures this validated
+  /// factory by copy).
   [[nodiscard]] ScenarioBuilder builder() const;
 
  private:
@@ -173,6 +211,7 @@ class ScenarioFactory {
       sim::ChoiceSource& choices) const;
 
   ScenarioOptions opt_;
+  const ProblemSpec* spec_;
 };
 
 }  // namespace wfd::explore

@@ -95,10 +95,6 @@ struct SearchConfig {
   /// (0 = random walks only). The frontier is one wave-parallel
   /// Explorer, not independent per-seed DFS workers.
   int frontier_workers = 2;
-  /// State cap of the campaign frontier search (0 = use max_states).
-  std::uint64_t frontier_states = 0;
-  /// Evaluate EventualProperties at the end of each completed run.
-  bool check_eventual = true;
 };
 
 /// Empty when the configuration is valid (scenario included), else a

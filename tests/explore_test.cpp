@@ -281,7 +281,7 @@ TEST(CampaignTest, FindsSeededBugAndShrinksIt) {
   co.threads = 4;
   co.runs = 2000;
   co.frontier_workers = 2;
-  co.frontier_states = 2000;
+  co.max_states = 2000;
   const ScenarioBuilder build = ScenarioFactory(bug_options()).builder();
   const CampaignReport rep = run_campaign(build, co);
   ASSERT_TRUE(rep.cex.has_value());
@@ -320,7 +320,7 @@ class OneShotInvariant : public Invariant {
 TEST(CampaignTest, StopFlagCancelsFrontierWorkers) {
   // Regression: frontier workers used to ignore the campaign's stop
   // flag, so under stop_at_first each one kept grinding its full
-  // frontier_states budget after the counterexample was already claimed.
+  // max_states budget after the counterexample was already claimed.
   // The budgets below are sized so that an un-cancelled worker would
   // materialize millions of nodes (minutes of work); with the flag
   // plumbed through SearchConfig::cancel the campaign returns almost
@@ -341,14 +341,13 @@ TEST(CampaignTest, StopFlagCancelsFrontierWorkers) {
   co.threads = 2;
   co.runs = 1000000;
   co.frontier_workers = 2;
-  co.frontier_states = 10000000;
+  co.max_states = 10000000;
   co.shrink = false;  // The one-shot violation cannot re-reproduce.
-  co.check_eventual = false;
   const CampaignReport rep = run_campaign(build, co);
   ASSERT_TRUE(rep.cex.has_value());
   EXPECT_EQ(rep.cex->violation.property, "one-shot");
   EXPECT_EQ(rep.violations, 1u);
-  EXPECT_LT(rep.nodes, co.frontier_states / 10);
+  EXPECT_LT(rep.nodes, co.max_states / 10);
   EXPECT_LT(rep.runs, co.runs / 10);
 }
 

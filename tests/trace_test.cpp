@@ -1,8 +1,7 @@
-// Trace and logging plumbing: the property checkers depend on exactly
+// Trace plumbing: the property checkers depend on exactly
 // this bookkeeping, so it gets its own unit coverage.
 #include <gtest/gtest.h>
 
-#include "common/log.h"
 #include "sim/trace.h"
 
 namespace wfd {
@@ -61,18 +60,6 @@ TEST(TraceTest, FirstEventPerProcess) {
   EXPECT_EQ(e.value, 7);
   const auto missing = t.first_event(0, "decide");
   EXPECT_EQ(missing.t, kNever);
-}
-
-TEST(LogTest, LevelGatesOutput) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kOff);
-  WFD_INFO("this must not crash while disabled");
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(static_cast<int>(log_level()),
-            static_cast<int>(LogLevel::kDebug));
-  WFD_DEBUG("enabled debug line " << 42);
-  WFD_TRACE("trace is above the threshold and skipped");
-  set_log_level(old);
 }
 
 TEST(FdValueTest, ToStringMentionsComponents) {

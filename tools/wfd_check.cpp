@@ -23,9 +23,8 @@
 //
 // A found safety violation is shrunk to a minimal decision sequence,
 // printed, optionally saved with --save=FILE, and exits with status 3;
-// a clean exploration exits 0; usage or setup errors exit 1; a
-// problem/mode combination the scenario registry does not support exits
-// 2 (never a silent fallback to another mode).
+// a clean exploration exits 0; usage or setup errors (an unknown
+// problem included) exit 1. Every problem runs in every mode.
 //
 // --liveness=<clause> switches the exhaustive search from bounded
 // safety to liveness: the explorer records the state graph it visits
@@ -57,7 +56,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -66,6 +64,7 @@
 
 #include "explore/campaign.h"
 #include "explore/explorer.h"
+#include "explore/option_text.h"
 #include "explore/replay_io.h"
 #include "explore/scenario.h"
 #include "explore/search_config.h"
@@ -77,13 +76,23 @@ namespace {
 
 constexpr int kExitClean = 0;
 constexpr int kExitUsage = 1;
-constexpr int kExitUnsupported = 2;
+/// --resume named a snapshot of a different scenario or search
+/// configuration.
+constexpr int kExitResumeMismatch = 2;
 constexpr int kExitViolation = 3;
 constexpr int kExitBudget = 4;
 /// The fair-cycle search found a witness SCC but could not pin its lasso
 /// by replay probing — a graph/scenario mismatch (internal error), never
 /// a sound "no fair cycle" verdict.
 constexpr int kExitConcretize = 5;
+
+/// The watchdog waits on the steady clock, so a deadline must convert to
+/// its duration without overflow, with room left for the current time.
+constexpr std::uint64_t kMaxDeadlineMs =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max())
+        .count() /
+    2;
 
 struct Args {
   /// Scenario + search knobs: parsed exclusively by apply_cli_flag.
@@ -102,8 +111,7 @@ struct Args {
 
 void usage() {
   std::string problems;
-  for (const explore::ProblemSpec& p :
-       explore::ScenarioFactory::problems()) {
+  for (const explore::ProblemSpec& p : explore::ScenarioFactory::problems()) {
     if (!problems.empty()) problems += "|";
     problems += p.name;
   }
@@ -137,8 +145,8 @@ void usage() {
       "complete (--max-states stays the cap on the cumulative total).\n"
       "\n"
       "exit status: 0 no violation, 3 violation found, 1 usage error,\n"
-      "             2 problem/mode combination not supported (or a\n"
-      "               resume snapshot from a different scenario),\n"
+      "             2 resume snapshot from a different scenario or\n"
+      "               search configuration,\n"
       "             4 state budget exhausted, frontier saved,\n"
       "             5 fair-cycle witness found but its lasso could not\n"
       "               be concretized (internal error; diagnostic on\n"
@@ -173,8 +181,11 @@ bool parse(int argc, char** argv, Args& a) {
       continue;
     }
     if (auto v = val("deadline-ms")) {
-      a.deadline_ms = std::strtoull(v->c_str(), nullptr, 10);
-      if (a.deadline_ms == 0) return false;
+      if (!explore::detail::parse_u64(*v, &a.deadline_ms) ||
+          a.deadline_ms == 0 || a.deadline_ms > kMaxDeadlineMs) {
+        std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+        return false;
+      }
       continue;
     }
     if (arg == "--json") {
@@ -367,10 +378,10 @@ int run_exhaustive(const Args& a) {
   if (!rep.resume_error.empty()) {
     std::fprintf(stderr, "cannot resume %s: %s\n", cfg.resume_path.c_str(),
                  rep.resume_error.c_str());
-    // Incompatible snapshot (different scenario / search configuration)
-    // is the "combination not supported" case; corrupt or unreadable
-    // input is a plain usage error.
-    return rep.resume_rejected ? kExitUnsupported : kExitUsage;
+    // An incompatible snapshot (different scenario / search
+    // configuration) has its own exit code; corrupt or unreadable input
+    // is a plain usage error.
+    return rep.resume_rejected ? kExitResumeMismatch : kExitUsage;
   }
   const auto& st = rep.stats;
   const std::string cov = explore::coverage_name(explore::coverage(st));
@@ -507,16 +518,7 @@ int run_exhaustive(const Args& a) {
 int run_campaign_mode(const Args& a) {
   const explore::ScenarioBuilder build =
       explore::ScenarioFactory(a.cfg.scenario).builder();
-  explore::SearchConfig cfg = a.cfg;
-  // The frontier search only makes sense for problems whose runs halt;
-  // on service scenarios (never-done modules, e.g. omega-impl) a DFS
-  // never reaches a terminal state and would just burn its whole
-  // budget.
-  if (!explore::ScenarioFactory::supports_mode(a.cfg.scenario.problem,
-                                               "exhaustive")) {
-    cfg.frontier_workers = 0;
-  }
-  const explore::CampaignReport rep = explore::run_campaign(build, cfg);
+  const explore::CampaignReport rep = explore::run_campaign(build, a.cfg);
   if (a.json && !rep.cex.has_value()) {
     std::printf(
         "{\"verdict\":\"clean\",\"mode\":\"campaign\",\"runs\":%llu,"
@@ -637,18 +639,6 @@ int main(int argc, char** argv) {
                  "--save-state/--resume/--budget-states/--deadline-ms "
                  "require --exhaustive\n");
     return kExitUsage;
-  }
-  // Every registered problem/mode combination must be declared supported;
-  // refusing here (exit 2) beats silently running a different mode.
-  const char* mode_name = a.mode == Args::Mode::kExhaustive ? "exhaustive"
-                          : a.mode == Args::Mode::kCampaign ? "campaign"
-                                                            : "replay";
-  if (a.mode != Args::Mode::kReplay &&
-      !explore::ScenarioFactory::supports_mode(a.cfg.scenario.problem,
-                                               mode_name)) {
-    std::fprintf(stderr, "problem '%s' does not support --%s\n",
-                 a.cfg.scenario.problem.c_str(), mode_name);
-    return kExitUnsupported;
   }
   switch (a.mode) {
     case Args::Mode::kExhaustive:
