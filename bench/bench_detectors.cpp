@@ -9,7 +9,7 @@
 #include "bench_util.h"
 #include "fd/classic_oracles.h"
 #include "fd/history_checker.h"
-#include "fd/omega_heartbeat.h"
+#include "fd/heartbeat_omega.h"
 #include "sim/fd_sampler.h"
 #include "sim/process.h"
 
@@ -67,10 +67,16 @@ double heartbeat_omega_witness(Time gst, std::uint64_t seed) {
   cfg.seed = seed;
   sim::Simulator s(cfg, f, std::make_unique<fd::NullOracle>(),
                    std::make_unique<sim::PartialSynchronyScheduler>(gst));
+  // Host time is the global step index and each process takes about one
+  // step in n, so a beat every 4n own steps is 4n*n global steps.
+  fd::HeartbeatOmegaModule::Options timing;
+  timing.period = static_cast<Time>(4 * n * n);
+  timing.timeout = 8 * timing.period;
+  timing.lease = 2 * timing.timeout;
   std::vector<sim::FdSampleRecord> samples;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    auto& om = host.add_module<fd::OmegaHeartbeatModule>("omega");
+    auto& om = host.add_module<fd::HeartbeatOmegaModule>("omega", timing);
     host.add_module<sim::FdSamplerModule>("sampler", &om, &samples, 32);
   }
   s.set_halt_on_done(false);

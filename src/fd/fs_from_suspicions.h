@@ -4,8 +4,10 @@
 // every correct process eventually suspect a crashed one (FS
 // completeness). From a merely eventually-accurate class this is
 // unsound — an early false suspicion at any single process poisons the
-// output red with no failure — mirroring FsHeartbeatModule's synchrony
-// requirement at the oracle level.
+// output red with no failure. Stacked on HeartbeatOmegaModule it is
+// therefore FS only under synchrony with a safe heartbeat timeout; an
+// aggressive timeout in an asynchronous run turns it red with nobody
+// crashed, the reason FS is not implementable without synchrony.
 #pragma once
 
 #include "sim/module.h"

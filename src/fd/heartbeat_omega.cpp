@@ -152,7 +152,7 @@ void HeartbeatOmegaModule::set_emitted(ProcessId leader) {
   if (leader == emitted_) return;
   emitted_ = leader;
   ++changes_;
-  if (opt_.emit_leader_changes) emit("omega-leader", leader);
+  emit("omega-leader", leader);
 }
 
 void HeartbeatOmegaModule::encode_state(sim::StateEncoder& enc) const {

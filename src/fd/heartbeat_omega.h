@@ -15,13 +15,20 @@
 // after a leader crash the next leader emerges within
 // (timeout + lease + period) host time units.
 //
-// Unlike fd/omega_heartbeat.h (own-step counters, simulator only), all
-// deadlines here are in *host time* (ModuleHost::now()), so the same
-// module is Omega for the simulator (time = step index; model-checkable
-// by the explorer, scenario "omega-impl") and for the runtime host
-// (time = milliseconds on the monotonic clock; the detector behind the
-// replicated KV service). In fully asynchronous runs the output may
+// All deadlines are in *host time* (ModuleHost::now()), so the same
+// module is Omega for the simulator (time = global step index;
+// model-checkable by the explorer, scenario "omega-impl") and for the
+// runtime host (time = milliseconds on the monotonic clock; the detector
+// behind the replicated KV service). In the simulator each of n
+// processes takes about one step in n, so a period of k own steps is
+// roughly k * n global steps. In fully asynchronous runs the output may
 // oscillate forever — the Chandra-Toueg impossibility boundary.
+//
+// This is the library's only heartbeat detector. Under synchrony, with
+// a timeout safe for the scheduler's delay bound, no correct process is
+// ever suspected and every crashed one is eventually suspected for good,
+// so suspected() is the perfect detector P; FsFromSuspicionsModule
+// stacked on it via set_fd_source() is then the failure signal FS.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +50,6 @@ class HeartbeatOmegaModule : public sim::Module, public sim::FdSource {
     /// healthy leader's lease never lapses at correct followers once
     /// delays are below lease/2.
     Time lease = 64;
-    /// Emit an "omega-leader" trace event whenever the emitted leader
-    /// changes (consumed by the model-checking scenario and tests).
-    bool emit_leader_changes = true;
   };
 
   HeartbeatOmegaModule() : HeartbeatOmegaModule(Options{}) {}
@@ -71,7 +75,9 @@ class HeartbeatOmegaModule : public sim::Module, public sim::FdSource {
   /// growing.
   [[nodiscard]] std::uint64_t suspicion_count() const { return suspicions_; }
   /// Number of changes of the emitted leader; lease hysteresis keeps
-  /// this far below the suspicion flap count.
+  /// this far below the suspicion flap count. Each change also emits an
+  /// "omega-leader" trace event (read by the "omega-impl" scenario and
+  /// KvService::leader_view).
   [[nodiscard]] std::uint64_t leader_changes() const { return changes_; }
 
   /// All deadlines are folded relative to the latest observed host time

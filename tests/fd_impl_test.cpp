@@ -1,17 +1,18 @@
 // Message-passing detector *implementations*: the join-quorum Sigma in
 // majority-correct environments (the paper's "ex nihilo" remark),
-// heartbeat Omega under partial synchrony, and heartbeat FS under
-// synchrony — each checked against the formal definition via the
-// recorded output history, plus negative controls at the impossibility
-// boundaries.
+// heartbeat Omega under partial synchrony, and FS under synchrony as
+// FsFromSuspicionsModule over the same heartbeat detector with a safe
+// timeout (which is P there) — each checked against the formal
+// definition via the recorded output history, plus negative controls at
+// the impossibility boundaries.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "fd/fs_heartbeat.h"
+#include "fd/fs_from_suspicions.h"
+#include "fd/heartbeat_omega.h"
 #include "fd/history_checker.h"
-#include "fd/omega_heartbeat.h"
 #include "fd/sigma_majority.h"
 #include "sim/fd_sampler.h"
 #include "test_util.h"
@@ -20,6 +21,16 @@ namespace wfd {
 namespace {
 
 class FdImplSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+// FS over the heartbeat detector: the FS module turns red on the first
+// suspicion the heartbeat module reports.
+fd::FsFromSuspicionsModule& add_heartbeat_fs(
+    sim::ModularProcess& host, const fd::HeartbeatOmegaModule::Options& o) {
+  auto& hb = host.add_module<fd::HeartbeatOmegaModule>("hb", o);
+  auto& fs = host.add_module<fd::FsFromSuspicionsModule>("fs");
+  fs.set_fd_source(&hb);
+  return fs;
+}
 
 TEST_P(FdImplSweep, SigmaMajorityYieldsLegalSigmaHistory) {
   // n = 5, up to 2 crashes (majority correct): the join-quorum protocol
@@ -64,7 +75,8 @@ TEST_P(FdImplSweep, OmegaHeartbeatConvergesUnderPartialSynchrony) {
   std::vector<sim::FdSampleRecord> samples;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    auto& om = host.add_module<fd::OmegaHeartbeatModule>("omega");
+    auto& om = host.add_module<fd::HeartbeatOmegaModule>(
+        "omega", test::heartbeat_timing(n));
     host.add_module<sim::FdSamplerModule>("sampler", &om, &samples,
                                           /*period=*/32);
   }
@@ -83,13 +95,14 @@ TEST_P(FdImplSweep, FsHeartbeatIsAccurateAndCompleteUnderSynchrony) {
   cfg.n = n;
   cfg.max_steps = 60000;
   cfg.seed = GetParam();
-  // Round-robin from time 0 = synchronous run: the safe timeout holds.
+  // Round-robin from time 0 = synchronous run: the safe timeout of 64
+  // periods holds, so the heartbeat detector is P.
   sim::Simulator s(cfg, f, std::make_unique<fd::NullOracle>(),
                    test::round_robin());
   std::vector<sim::FdSampleRecord> samples;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    auto& fs = host.add_module<fd::FsHeartbeatModule>("fs");
+    auto& fs = add_heartbeat_fs(host, test::heartbeat_timing(n, 64));
     host.add_module<sim::FdSamplerModule>("sampler", &fs, &samples,
                                           /*period=*/32);
   }
@@ -107,10 +120,10 @@ TEST_P(FdImplSweep, FsHeartbeatStaysGreenWhenCrashFree) {
   cfg.seed = GetParam();
   sim::Simulator s(cfg, test::pattern(n), std::make_unique<fd::NullOracle>(),
                    test::round_robin());
-  std::vector<fd::FsHeartbeatModule*> fss;
+  std::vector<fd::FsFromSuspicionsModule*> fss;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    fss.push_back(&host.add_module<fd::FsHeartbeatModule>("fs"));
+    fss.push_back(&add_heartbeat_fs(host, test::heartbeat_timing(n, 64)));
   }
   s.set_halt_on_done(false);
   s.run();
@@ -139,12 +152,12 @@ TEST(FdImplNegative, FsHeartbeatViolatesAccuracyUnderAsynchrony) {
   sim::Simulator s(
       cfg, test::pattern(n), std::make_unique<fd::NullOracle>(),
       std::make_unique<sim::FilteredScheduler>(test::round_robin(), filter));
-  fd::FsHeartbeatModule::Options aggressive;
+  auto aggressive = test::heartbeat_timing(n);
   aggressive.timeout = 200;  // Far below the safe bound.
-  std::vector<fd::FsHeartbeatModule*> fss;
+  std::vector<fd::FsFromSuspicionsModule*> fss;
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
-    fss.push_back(&host.add_module<fd::FsHeartbeatModule>("fs", aggressive));
+    fss.push_back(&add_heartbeat_fs(host, aggressive));
   }
   s.set_halt_on_done(false);
   s.run();

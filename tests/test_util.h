@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fd/classic_oracles.h"
+#include "fd/heartbeat_omega.h"
 #include "fd/fs_oracle.h"
 #include "fd/omega_oracle.h"
 #include "fd/oracle.h"
@@ -85,6 +86,19 @@ inline std::unique_ptr<fd::Oracle> psi_fs(
   return std::make_unique<fd::TupleOracle>(
       std::make_unique<fd::PsiOracle>(po),
       std::make_unique<fd::FsOracle>(fo));
+}
+
+/// HeartbeatOmegaModule timing for a simulator run of n processes: a
+/// beat every 4n own steps and a timeout of `timeout_periods` beats,
+/// rescaled to global steps (each process takes about one step in n).
+/// The lease is two timeouts.
+inline fd::HeartbeatOmegaModule::Options heartbeat_timing(
+    int n, Time timeout_periods = 8) {
+  fd::HeartbeatOmegaModule::Options o;
+  o.period = static_cast<Time>(4 * n * n);
+  o.timeout = timeout_periods * o.period;
+  o.lease = 2 * o.timeout;
+  return o;
 }
 
 inline std::unique_ptr<sim::Scheduler> random_sched() {

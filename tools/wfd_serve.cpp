@@ -24,11 +24,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "explore/option_text.h"
 #include "runtime/kv.h"
 
 using namespace wfd;
@@ -57,7 +59,20 @@ void usage() {
       "                 [--clients=C] [--secs-per-row=S]\n");
 }
 
+/// Strict decimal count in [0, max]: a sign, trailing garbage or an
+/// out-of-range value fails instead of being read as some other number.
+bool parse_count(const std::string& s, int max, int* out) {
+  std::uint64_t v = 0;
+  if (!explore::detail::parse_u64(s, &v) ||
+      v > static_cast<std::uint64_t>(max)) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
 bool parse(int argc, char** argv, Args& a) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto val = [&](const char* name) -> std::optional<std::string> {
@@ -65,16 +80,17 @@ bool parse(int argc, char** argv, Args& a) {
       if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
       return std::nullopt;
     };
+    bool ok = true;
     if (arg == "--tcp") {
       a.tcp = true;
     } else if (arg == "--bench") {
       a.bench = true;
     } else if (auto v = val("n")) {
-      a.n = std::atoi(v->c_str());
+      ok = parse_count(*v, kMaxProcesses, &a.n);
     } else if (auto v2 = val("seconds")) {
-      a.seconds = std::atoi(v2->c_str());
+      ok = parse_count(*v2, kIntMax, &a.seconds);
     } else if (auto v3 = val("clients")) {
-      a.clients = std::atoi(v3->c_str());
+      ok = parse_count(*v3, kIntMax, &a.clients);
     } else if (auto v4 = val("secs-per-row")) {
       a.secs_per_row = std::atof(v4->c_str());
     } else if (auto v5 = val("seed")) {
@@ -82,6 +98,9 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (auto v6 = val("out")) {
       a.out = *v6;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       usage();
       return false;
     }

@@ -22,6 +22,7 @@
 
 #include "broadcast/atomic_broadcast.h"
 #include "consensus/omega_sigma_consensus.h"
+#include "explore/option_text.h"
 #include "fd/fs_oracle.h"
 #include "fd/omega_oracle.h"
 #include "fd/oracle.h"
@@ -63,6 +64,18 @@ void usage() {
       "               [--rule=sigma|majority]         (register)\n");
 }
 
+/// Strict decimal count in [0, max]: a sign, trailing garbage or an
+/// out-of-range value fails instead of being read as some other number.
+bool parse_count(const std::string& s, int max, int* out) {
+  std::uint64_t v = 0;
+  if (!explore::detail::parse_u64(s, &v) ||
+      v > static_cast<std::uint64_t>(max)) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
 bool parse(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -75,9 +88,15 @@ bool parse(int argc, char** argv, Args& a) {
     if (auto v = val("problem")) {
       a.problem = *v;
     } else if (auto v2 = val("n")) {
-      a.n = std::atoi(v2->c_str());
+      if (!parse_count(*v2, kMaxProcesses, &a.n)) {
+        std::fprintf(stderr, "invalid --n: %s\n", v2->c_str());
+        return false;
+      }
     } else if (auto v3 = val("crashes")) {
-      a.crashes = std::atoi(v3->c_str());
+      if (!parse_count(*v3, kMaxProcesses - 1, &a.crashes)) {
+        std::fprintf(stderr, "invalid --crashes: %s\n", v3->c_str());
+        return false;
+      }
     } else if (auto v4 = val("seed")) {
       a.seed = std::strtoull(v4->c_str(), nullptr, 10);
     } else if (auto v5 = val("steps")) {
@@ -97,7 +116,7 @@ bool parse(int argc, char** argv, Args& a) {
       return false;
     }
   }
-  if (a.n < 1 || a.n > kMaxProcesses || a.crashes < 0 || a.crashes >= a.n) {
+  if (a.n < 1 || a.crashes >= a.n) {
     std::fprintf(stderr, "invalid n/crashes\n");
     return false;
   }
