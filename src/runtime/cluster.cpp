@@ -1,26 +1,18 @@
 #include "runtime/cluster.h"
 
-#include <utility>
-
 #include "common/check.h"
 
 namespace wfd::runtime {
 
-RuntimeCluster::RuntimeCluster(Options opt, StackFactory factory,
-                               std::unique_ptr<Transport> transport)
+RuntimeCluster::RuntimeCluster(Options opt, StackFactory factory)
     : opt_(opt), epoch_(RuntimeProcess::Clock::now()) {
   WFD_CHECK(opt_.n > 0);
   WFD_CHECK(factory != nullptr);
-  if (transport != nullptr) {
-    transport_ = std::move(transport);
-  } else {
-    LinkFaults faults = opt_.faults;
-    if (faults.seed == 0) faults.seed = opt_.seed;
-    transport_ = std::make_unique<ChannelTransport>(faults);
-  }
+  LinkFaults faults = opt_.faults;
+  if (faults.seed == 0) faults.seed = opt_.seed;
+  transport_ = std::make_unique<ChannelTransport>(faults);
   for (ProcessId p = 0; p < opt_.n; ++p) {
     RuntimeProcess::Options popt;
-    popt.tick_interval = opt_.tick_interval;
     popt.seed = opt_.seed;
     procs_.push_back(std::make_unique<RuntimeProcess>(
         p, opt_.n, *transport_, epoch_, popt));

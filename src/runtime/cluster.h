@@ -1,6 +1,6 @@
-// A cluster of RuntimeProcesses over one shared Transport: the runtime
-// analogue of the simulator's process array, owning construction order
-// and teardown order (processes stop before the transport dies).
+// A cluster of RuntimeProcesses over one shared ChannelTransport: the
+// runtime analogue of the simulator's process array, owning construction
+// order and teardown order (processes stop before the transport dies).
 #pragma once
 
 #include <functional>
@@ -21,15 +21,11 @@ class RuntimeCluster {
 
   struct Options {
     int n = 3;
-    Time tick_interval = 1;
     std::uint64_t seed = 1;
     LinkFaults faults;  ///< Drop/delay injection on the channel transport.
   };
 
-  /// Uses the given transport, or constructs a ChannelTransport with
-  /// `opt.faults` when null.
-  RuntimeCluster(Options opt, StackFactory factory,
-                 std::unique_ptr<Transport> transport = nullptr);
+  RuntimeCluster(Options opt, StackFactory factory);
   ~RuntimeCluster();
 
   /// Start every process thread.
@@ -43,7 +39,7 @@ class RuntimeCluster {
 
   [[nodiscard]] int n() const { return opt_.n; }
   [[nodiscard]] RuntimeProcess& process(ProcessId p);
-  [[nodiscard]] Transport& transport() { return *transport_; }
+  [[nodiscard]] ChannelTransport& transport() { return *transport_; }
   [[nodiscard]] RuntimeProcess::Clock::time_point epoch() const {
     return epoch_;
   }
@@ -51,7 +47,7 @@ class RuntimeCluster {
  private:
   Options opt_;
   RuntimeProcess::Clock::time_point epoch_;
-  std::unique_ptr<Transport> transport_;
+  std::unique_ptr<ChannelTransport> transport_;
   std::vector<std::unique_ptr<RuntimeProcess>> procs_;
 };
 

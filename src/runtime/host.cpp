@@ -6,16 +6,14 @@
 
 namespace wfd::runtime {
 
-RuntimeProcess::RuntimeProcess(ProcessId self, int n, Transport& transport,
+RuntimeProcess::RuntimeProcess(ProcessId self, int n,
+                               ChannelTransport& transport,
                                Clock::time_point epoch, Options opt)
     : self_(self),
       n_(n),
       transport_(transport),
       epoch_(epoch),
-      opt_(opt),
-      rng_(opt.seed + static_cast<std::uint64_t>(self) * 0x9e3779b97f4a7c15ULL) {
-  WFD_CHECK(opt_.tick_interval > 0);
-}
+      rng_(opt.seed + static_cast<std::uint64_t>(self) * 0x9e3779b97f4a7c15ULL) {}
 
 RuntimeProcess::~RuntimeProcess() {
   kill();
@@ -124,14 +122,10 @@ void RuntimeProcess::loop() {
   refresh_fd();
   start_modules();
   tick_modules();
-  // The periodic tick drives timeouts/heartbeats/retries; it re-arms
-  // itself on the wheel.
-  std::function<void()> periodic = [this, &periodic] {
-    refresh_fd();
-    tick_modules();
-    wheel_.schedule(opt_.tick_interval, periodic);
-  };
-  wheel_.schedule(opt_.tick_interval, periodic);
+  // The periodic tick drives timeouts/heartbeats/retries. It fires after
+  // the batch that reaches its deadline and re-arms one period later, so
+  // a loop that fell behind ticks once, not once per missed period.
+  Time next_tick = now() + kTickMs;
 
   std::vector<WireMessage> batch;
   std::vector<std::function<void()>> todo;
@@ -148,10 +142,8 @@ void RuntimeProcess::loop() {
           state_ = State::kDone;
           return;
         }
-        // Sleep until the next wheel deadline (there is always one: the
-        // periodic tick) or until work arrives.
-        const auto wake =
-            epoch_ + std::chrono::milliseconds(wheel_.next_deadline());
+        // Sleep until the tick deadline or until work arrives.
+        const auto wake = epoch_ + std::chrono::milliseconds(next_tick);
         if (cv_.wait_until(lock, wake) == std::cv_status::timeout) break;
       }
       batch.swap(inbox_);
@@ -169,7 +161,11 @@ void RuntimeProcess::loop() {
       tick_modules();
     }
     batch.clear();
-    wheel_.advance(now());
+    if (now() >= next_tick) {
+      refresh_fd();
+      tick_modules();
+      next_tick = now() + kTickMs;
+    }
   }
 }
 

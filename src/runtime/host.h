@@ -1,5 +1,5 @@
 // The runtime host: one thread per process, running unmodified Module
-// instances over a Transport.
+// instances over a ChannelTransport.
 //
 // `runtime::Host` — the host-facing surface a Module actually needs
 // (deliver/tick/send/query-FD) — *is* sim::ModuleHost: the seam was
@@ -15,9 +15,8 @@
 // message is followed by a module tick and preceded by a fresh detector
 // sample — the exact shape of one simulator step, which is what makes
 // the equal-decisions test (sim vs runtime on the same scripted
-// workload) meaningful. Between work, a monotonic-clock timer wheel
-// fires the periodic tick that drives timeouts, heartbeats and
-// consensus retries.
+// workload) meaningful. Between work, a periodic tick every kTickMs of
+// the monotonic clock drives timeouts, heartbeats and consensus retries.
 #pragma once
 
 #include <chrono>
@@ -31,7 +30,6 @@
 
 #include "common/rng.h"
 #include "fd/values.h"
-#include "runtime/timer_wheel.h"
 #include "runtime/transport.h"
 #include "sim/module.h"
 
@@ -53,15 +51,16 @@ class RuntimeProcess final : public Host {
  public:
   using Clock = std::chrono::steady_clock;
 
+  /// Milliseconds between periodic module ticks.
+  static constexpr Time kTickMs = 1;
+
   struct Options {
-    /// Milliseconds between timer-wheel module ticks.
-    Time tick_interval = 1;
     std::uint64_t seed = 1;
   };
 
   /// The process does not own the transport; the caller (RuntimeCluster)
   /// must keep both alive until every loop thread has stopped.
-  RuntimeProcess(ProcessId self, int n, Transport& transport,
+  RuntimeProcess(ProcessId self, int n, ChannelTransport& transport,
                  Clock::time_point epoch, Options opt);
   ~RuntimeProcess() override;
 
@@ -116,13 +115,11 @@ class RuntimeProcess final : public Host {
 
   ProcessId self_;
   int n_;
-  Transport& transport_;
+  ChannelTransport& transport_;
   Clock::time_point epoch_;
-  Options opt_;
   Rng rng_;
   const sim::FdSource* fd_source_ = nullptr;
-  fd::FdValue fd_cache_;   ///< Loop thread only.
-  TimerWheel wheel_;       ///< Loop thread only.
+  fd::FdValue fd_cache_;  ///< Loop thread only.
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "runtime/tcp_transport.h"
 
 namespace wfd::runtime {
 
@@ -32,7 +31,6 @@ KvService::KvService(Options opt) {
   RuntimeCluster::Options copt;
   copt.n = opt.n;
   copt.seed = opt.seed;
-  copt.tick_interval = opt.tick_interval;
   copt.faults = opt.faults;
   const KvDetectorTiming timing = opt.timing;
   auto factory = [this, timing](RuntimeProcess& host) {
@@ -54,10 +52,7 @@ KvService::KvService(Options opt) {
     host.set_detector(w.merged.get());
     host.add_module<smr::ReplicatedObjectModule>("kv", make_kv_apply());
   };
-  std::unique_ptr<Transport> transport;
-  if (opt.tcp) transport = std::make_unique<TcpTransport>(opt.n);
-  cluster_ = std::make_unique<RuntimeCluster>(copt, std::move(factory),
-                                              std::move(transport));
+  cluster_ = std::make_unique<RuntimeCluster>(copt, std::move(factory));
 }
 
 ProcessId KvService::leader_view(ProcessId p) {

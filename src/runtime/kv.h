@@ -58,10 +58,8 @@ class KvService {
   struct Options {
     int n = 3;
     std::uint64_t seed = 1;
-    Time tick_interval = 1;
     KvDetectorTiming timing;
     LinkFaults faults;
-    bool tcp = false;  ///< Loopback-TCP transport instead of channels.
   };
 
   explicit KvService(Options opt);

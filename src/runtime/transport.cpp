@@ -4,8 +4,6 @@
 
 namespace wfd::runtime {
 
-Transport::~Transport() = default;
-
 ChannelTransport::ChannelTransport(LinkFaults faults)
     : faults_(faults), rng_(faults.seed == 0 ? 1 : faults.seed) {
   if (faults_.delay > 0 || faults_.retransmit > 0) {

@@ -1,16 +1,13 @@
 // Real channels for the runtime host.
 //
-// A Transport moves ModuleEnvelope payloads between process threads. The
-// quasi-reliable channels of the paper's model (no duplication, no
-// corruption, messages between correct processes eventually arrive) are
-// the spec; ChannelTransport implements them with mutex-guarded direct
-// delivery into the receiver's inbox, optionally degraded by injected
-// drop probability and delivery delay — the knobs the runtime bench uses
-// for its lossy-link rows. Payloads are immutable (PayloadPtr is
-// shared_ptr<const Payload>), so crossing threads by pointer is safe.
-//
-// TcpTransport (tcp_transport.h) implements the same interface over
-// loopback sockets.
+// ChannelTransport moves ModuleEnvelope payloads between process
+// threads. The quasi-reliable channels of the paper's model (no
+// duplication, no corruption, messages between correct processes
+// eventually arrive) are the spec; it implements them with mutex-guarded
+// direct delivery into the receiver's inbox, optionally degraded by
+// injected drop probability and delivery delay — the knobs the runtime
+// bench uses for its lossy-link rows. Payloads are immutable (PayloadPtr
+// is shared_ptr<const Payload>), so crossing threads by pointer is safe.
 #pragma once
 
 #include <chrono>
@@ -30,40 +27,14 @@
 namespace wfd::runtime {
 
 /// One message on the wire: a module envelope from one process to
-/// another, stamped with the sender's send time (host clock) so
-/// transports can implement delivery delay.
+/// another.
 struct WireMessage {
   ProcessId from = kNoProcess;
   ProcessId to = kNoProcess;
   sim::PayloadPtr payload;
 };
 
-class Transport {
- public:
-  /// Receiver callback; invoked on a transport-owned thread or the
-  /// sender's thread — implementations of Sink must be thread safe
-  /// (RuntimeProcess's inbox enqueue is).
-  using Sink = std::function<void(WireMessage)>;
-
-  virtual ~Transport();
-
-  /// Register the receiver for process p. Must happen before any peer
-  /// sends to p.
-  virtual void attach(ProcessId p, Sink sink) = 0;
-
-  /// Remove p's receiver; subsequent traffic to p is dropped silently
-  /// (the crashed-process semantics of the model).
-  virtual void detach(ProcessId p) = 0;
-
-  /// Thread-safe send. Messages to detached or never-attached processes
-  /// vanish.
-  virtual void send(WireMessage msg) = 0;
-
-  /// Stop background machinery; no sinks fire afterwards.
-  virtual void shutdown() = 0;
-};
-
-/// Fault injection knobs shared by transports.
+/// Fault injection knobs of the channel transport.
 struct LinkFaults {
   /// Probability in [0,1] that a message is dropped.
   double drop_prob = 0.0;
@@ -84,16 +55,31 @@ struct LinkFaults {
 /// In-process transport: direct hand-off into the receiver's sink under
 /// a mutex. With a nonzero delay a dispatcher thread holds messages in a
 /// deadline queue; with only drop_prob there is no extra thread.
-class ChannelTransport final : public Transport {
+class ChannelTransport {
  public:
+  /// Receiver callback; invoked on the sender's thread or the
+  /// dispatcher thread — it must be thread safe (RuntimeProcess's inbox
+  /// enqueue is).
+  using Sink = std::function<void(WireMessage)>;
+
   ChannelTransport() : ChannelTransport(LinkFaults{}) {}
   explicit ChannelTransport(LinkFaults faults);
-  ~ChannelTransport() override;
+  ~ChannelTransport();
 
-  void attach(ProcessId p, Sink sink) override;
-  void detach(ProcessId p) override;
-  void send(WireMessage msg) override;
-  void shutdown() override;
+  /// Register the receiver for process p. Must happen before any peer
+  /// sends to p.
+  void attach(ProcessId p, Sink sink);
+
+  /// Remove p's receiver; subsequent traffic to p is dropped silently
+  /// (the crashed-process semantics of the model).
+  void detach(ProcessId p);
+
+  /// Thread-safe send. Messages to detached or never-attached processes
+  /// vanish.
+  void send(WireMessage msg);
+
+  /// Stop the dispatcher; no sinks fire afterwards.
+  void shutdown();
 
   [[nodiscard]] std::uint64_t sent() const;
   [[nodiscard]] std::uint64_t dropped() const;

@@ -83,8 +83,8 @@ class ModuleTransport {
 ///
 /// Delivery and tick *scheduling* deliberately stay outside this
 /// interface: the host decides when on_message/on_tick run (the
-/// simulator per atomic step, the runtime per inbox batch and timer-
-/// wheel deadline); modules only ever observe the calls.
+/// simulator per atomic step, the runtime per inbox batch and tick
+/// deadline); modules only ever observe the calls.
 class ModuleHost {
  public:
   virtual ~ModuleHost();

@@ -5,8 +5,7 @@
 # emitted leader, and requires the surviving replicas to (a) keep
 # accepting writes and (b) still return the pre-kill value — wfd_serve's
 # demo path exits 2 on either a wedge or a divergent read. Iterations
-# alternate between the in-process channel transport and real
-# loopback-TCP sockets.
+# alternate between 3 and 5 replicas.
 #
 # Failure modes caught here and not by the unit lane: rare thread
 # interleavings around leader death (the service is rebuilt from scratch
@@ -30,12 +29,12 @@ fail() {
 i=1
 while [ "$i" -le "$iters" ]; do
   if [ $((i % 2)) -eq 0 ]; then
-    transport="--tcp"
+    n=5
   else
-    transport=""
+    n=3
   fi
-  echo "== soak iteration $i/$iters (seed=$i ${transport:-channel})"
-  timeout "$watchdog" "$serve" --n=3 --seed="$i" $transport
+  echo "== soak iteration $i/$iters (seed=$i n=$n)"
+  timeout "$watchdog" "$serve" --n="$n" --seed="$i"
   status=$?
   [ "$status" -eq 124 ] && fail "iteration $i hung (watchdog ${watchdog}s)"
   [ "$status" -ne 0 ] && fail "iteration $i exited $status (wedge/divergence)"

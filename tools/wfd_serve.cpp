@@ -9,7 +9,6 @@
 //
 //   wfd_serve                         # demo: puts/gets, kill the leader,
 //                                     # show the service surviving it
-//   wfd_serve --n=5 --tcp             # same over loopback-TCP sockets
 //   wfd_serve --seconds=10            # closed-loop load, progress line/s
 //   wfd_serve --bench --out=BENCH_runtime.json
 //                                     # load matrix -> machine-readable
@@ -19,11 +18,12 @@
 // wedged (an operation exhausted every attempt).
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -41,7 +41,6 @@ using Clock = std::chrono::steady_clock;
 
 struct Args {
   int n = 3;
-  bool tcp = false;
   bool bench = false;
   int seconds = 0;        ///< >0: timed load run instead of the demo.
   int clients = 3;
@@ -53,7 +52,7 @@ struct Args {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: wfd_serve [--n=N] [--tcp] [--seed=S]\n"
+      "usage: wfd_serve [--n=N] [--seed=S]\n"
       "                 [--seconds=S]            timed closed-loop load\n"
       "                 [--bench] [--out=FILE]   load matrix -> JSON\n"
       "                 [--clients=C] [--secs-per-row=S]\n");
@@ -71,6 +70,21 @@ bool parse_count(const std::string& s, int max, int* out) {
   return true;
 }
 
+/// Strict positive, finite seconds: trailing garbage, a sign-only or
+/// empty string, and zero, negative, infinite or NaN values fail.
+bool parse_seconds(const std::string& s, double* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) != 0) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || !std::isfinite(v) || v <= 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool parse(int argc, char** argv, Args& a) {
   constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
@@ -81,9 +95,7 @@ bool parse(int argc, char** argv, Args& a) {
       return std::nullopt;
     };
     bool ok = true;
-    if (arg == "--tcp") {
-      a.tcp = true;
-    } else if (arg == "--bench") {
+    if (arg == "--bench") {
       a.bench = true;
     } else if (auto v = val("n")) {
       ok = parse_count(*v, kMaxProcesses, &a.n);
@@ -92,9 +104,9 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (auto v3 = val("clients")) {
       ok = parse_count(*v3, kIntMax, &a.clients);
     } else if (auto v4 = val("secs-per-row")) {
-      a.secs_per_row = std::atof(v4->c_str());
+      ok = parse_seconds(*v4, &a.secs_per_row);
     } else if (auto v5 = val("seed")) {
-      a.seed = std::strtoull(v5->c_str(), nullptr, 10);
+      ok = explore::detail::parse_u64(*v5, &a.seed);
     } else if (auto v6 = val("out")) {
       a.out = *v6;
     } else {
@@ -105,7 +117,7 @@ bool parse(int argc, char** argv, Args& a) {
       return false;
     }
   }
-  if (a.n < 1 || a.clients < 1 || a.secs_per_row <= 0) {
+  if (a.n < 1 || a.clients < 1) {
     usage();
     return false;
   }
@@ -116,7 +128,6 @@ runtime::KvService::Options service_options(const Args& a, int n) {
   runtime::KvService::Options so;
   so.n = n;
   so.seed = a.seed;
-  so.tcp = a.tcp;
   return so;
 }
 
@@ -260,16 +271,15 @@ int run_bench(const Args& a) {
 
   bool wedged = false;
   bool first_row = true;
-  const auto emit = [&](const std::string& name, int n,
-                        const char* transport, double drop_prob,
+  const auto emit = [&](const std::string& name, int n, double drop_prob,
                         std::uint64_t delay_ms, const RowStats& row) {
     std::fprintf(
         out,
-        "%s    {\"name\": \"%s\", \"n\": %d, \"transport\": \"%s\", "
+        "%s    {\"name\": \"%s\", \"n\": %d, \"transport\": \"channel\", "
         "\"drop_prob\": %.3f, \"delay_ms\": %llu, \"ops\": %llu, "
         "\"ops_per_sec\": %.1f, \"p50_us\": %llu, \"p99_us\": %llu, "
         "\"failovers\": %llu}",
-        first_row ? "" : ",\n", name.c_str(), n, transport, drop_prob,
+        first_row ? "" : ",\n", name.c_str(), n, drop_prob,
         static_cast<unsigned long long>(delay_ms),
         static_cast<unsigned long long>(row.ops), row.ops_per_sec,
         static_cast<unsigned long long>(row.p50_us),
@@ -277,8 +287,8 @@ int run_bench(const Args& a) {
         static_cast<unsigned long long>(row.failovers));
     first_row = false;
     wedged = wedged || row.wedged;
-    std::printf("%-16s n=%d %-7s %8.1f ops/s  p50 %6llu us  p99 %6llu us\n",
-                name.c_str(), n, transport, row.ops_per_sec,
+    std::printf("%-16s n=%d channel %8.1f ops/s  p50 %6llu us  p99 %6llu us\n",
+                name.c_str(), n, row.ops_per_sec,
                 static_cast<unsigned long long>(row.p50_us),
                 static_cast<unsigned long long>(row.p99_us));
   };
@@ -289,17 +299,7 @@ int run_bench(const Args& a) {
     service.start();
     const RowStats row = run_load(service, a.clients, a.secs_per_row);
     service.stop();
-    emit("kv_n" + std::to_string(n), n, "channel", 0, 0, row);
-  }
-  // Same stack over real loopback-TCP sockets.
-  {
-    Args ta = a;
-    ta.tcp = true;
-    runtime::KvService service(service_options(ta, 3));
-    service.start();
-    const RowStats row = run_load(service, a.clients, a.secs_per_row);
-    service.stop();
-    emit("kv_n3_tcp", 3, "tcp", 0, 0, row);
+    emit("kv_n" + std::to_string(n), n, 0, 0, row);
   }
   // Throughput under injected loss and delay on every link. Loss is
   // injected *with retransmission* (a dropped copy arrives 20 ms late
@@ -323,8 +323,7 @@ int run_bench(const Args& a) {
     const RowStats row =
         run_load(service, a.clients, a.secs_per_row, copt);
     service.stop();
-    emit("kv_n3_lossy", 3, "channel", so.faults.drop_prob, so.faults.delay,
-         row);
+    emit("kv_n3_lossy", 3, so.faults.drop_prob, so.faults.delay, row);
   }
   // Leader-kill failover: kill the emitted leader, time the next
   // successful write at a survivor (detector timeout + lease takeover +
@@ -348,8 +347,7 @@ int run_bench(const Args& a) {
 int run_timed(const Args& a) {
   runtime::KvService service(service_options(a, a.n));
   service.start();
-  std::printf("serving replicated KV: n=%d transport=%s\n", a.n,
-              a.tcp ? "tcp" : "channel");
+  std::printf("serving replicated KV: n=%d transport=channel\n", a.n);
   RowStats total;
   for (int s = 0; s < a.seconds; ++s) {
     const RowStats row = run_load(service, a.clients, 1.0);
@@ -373,9 +371,9 @@ int run_timed(const Args& a) {
 int run_demo(const Args& a) {
   runtime::KvService service(service_options(a, a.n));
   service.start();
-  std::printf("replicated KV up: n=%d transport=%s (unmodified module "
-              "stack, heartbeat Omega + phi-accrual quorums)\n",
-              a.n, a.tcp ? "tcp" : "channel");
+  std::printf("replicated KV up: n=%d transport=channel (unmodified "
+              "module stack, heartbeat Omega + phi-accrual quorums)\n",
+              a.n);
   runtime::KvClient client(service, 0);
   const auto step = [&](const char* what,
                         std::optional<std::int64_t> r) -> bool {

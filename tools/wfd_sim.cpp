@@ -12,8 +12,7 @@
 // Every run is deterministic in --seed; crashes are staggered over the
 // first --crash-window steps.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -76,6 +75,14 @@ bool parse_count(const std::string& s, int max, int* out) {
   return true;
 }
 
+/// True when `v` is one of the spellings a flag accepts.
+bool one_of(const std::string& v, std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    if (v == name) return true;
+  }
+  return false;
+}
+
 bool parse(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -85,34 +92,36 @@ bool parse(int argc, char** argv, Args& a) {
       return std::nullopt;
     };
     if (arg == "--help" || arg == "-h") return false;
+    bool ok = true;
     if (auto v = val("problem")) {
       a.problem = *v;
     } else if (auto v2 = val("n")) {
-      if (!parse_count(*v2, kMaxProcesses, &a.n)) {
-        std::fprintf(stderr, "invalid --n: %s\n", v2->c_str());
-        return false;
-      }
+      ok = parse_count(*v2, kMaxProcesses, &a.n);
     } else if (auto v3 = val("crashes")) {
-      if (!parse_count(*v3, kMaxProcesses - 1, &a.crashes)) {
-        std::fprintf(stderr, "invalid --crashes: %s\n", v3->c_str());
-        return false;
-      }
+      ok = parse_count(*v3, kMaxProcesses - 1, &a.crashes);
     } else if (auto v4 = val("seed")) {
-      a.seed = std::strtoull(v4->c_str(), nullptr, 10);
+      ok = explore::detail::parse_u64(*v4, &a.seed);
     } else if (auto v5 = val("steps")) {
-      a.steps = std::strtoull(v5->c_str(), nullptr, 10);
+      ok = explore::detail::parse_u64(*v5, &a.steps);
     } else if (auto v6 = val("scheduler")) {
       a.scheduler = *v6;
+      ok = one_of(a.scheduler, {"random", "rr", "psync"});
     } else if (auto v7 = val("branch")) {
       a.branch = *v7;
+      ok = one_of(a.branch, {"auto", "omegasigma", "fs"});
     } else if (auto v8 = val("rule")) {
       a.rule = *v8;
+      ok = one_of(a.rule, {"sigma", "majority"});
     } else if (auto v9 = val("crash-window")) {
-      a.crash_window = std::strtoull(v9->c_str(), nullptr, 10);
+      ok = explore::detail::parse_u64(*v9, &a.crash_window);
     } else if (auto v10 = val("stab")) {
-      a.stabilization = std::strtoull(v10->c_str(), nullptr, 10);
+      ok = explore::detail::parse_u64(*v10, &a.stabilization);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value: %s\n", arg.c_str());
       return false;
     }
   }
