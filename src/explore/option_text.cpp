@@ -75,7 +75,6 @@ void scenario_to_text(std::ostream& out, const ScenarioOptions& o) {
   out << "reg_readers=" << o.reg_readers << "\n";
   out << "abcast_senders=" << o.abcast_senders << "\n";
   out << "oldest_per_channel=" << (o.oldest_per_channel ? 1 : 0) << "\n";
-  out << "lambda_always=" << (o.lambda_always ? 1 : 0) << "\n";
   out << "liveness=" << o.liveness << "\n";
 }
 
@@ -120,7 +119,9 @@ bool scenario_apply(ScenarioOptions& o, const std::string& key,
   } else if (key == "oldest_per_channel") {
     *ok = parse_bool(val, &o.oldest_per_channel);
   } else if (key == "lambda_always") {
-    *ok = parse_bool(val, &o.lambda_always);
+    // Files written before the knob was removed all carry 1; a 0 would
+    // replay its decisions against different menus, so it is refused.
+    *ok = val == "1";
   } else if (key == "liveness") {
     o.liveness = val;  // Clause-name validity is ScenarioFactory::validate's.
   } else {

@@ -433,10 +433,6 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
       return "liveness checking folds convergence into the static "
              "history itself; stabilization must stay unset";
     }
-    if (!opt.lambda_always) {
-      return "liveness fairness quantifies over tick steps and needs "
-             "lambda_always";
-    }
     if (opt.n > kLiveChannelStride) {
       return "liveness checking tracks communication fairness per "
              "directed channel in an n x n bitset and supports n <= " +
@@ -553,7 +549,6 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
 
   sim::ReplayScheduler::Options so;
   so.oldest_per_channel = opt_.oldest_per_channel;
-  so.lambda_always = opt_.lambda_always;
   so.faults = faults.get();
 
   std::unique_ptr<fd::Oracle> oracle;

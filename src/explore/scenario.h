@@ -81,16 +81,16 @@ struct ScenarioOptions {
   int reg_readers = 0;
   /// For abcast: how many processes broadcast one message each.
   int abcast_senders = 2;
-  // ReplayScheduler reductions (see its Options).
+  /// ReplayScheduler reduction (see its Options): false (--all-pending)
+  /// offers every pending message, i.e. non-FIFO channels.
   bool oldest_per_channel = true;
-  bool lambda_always = true;
   /// Liveness clause to check by fair-cycle search over the explored
   /// state graph (empty = bounded safety checking only). Clause names
   /// and per-problem availability: ProblemSpec::liveness.
   /// Liveness mode constrains the rest of the scenario (static converged
-  /// detector histories, no scripted crashes, lambda_always) — see
-  /// validate() — so that every infinite unrolling of a graph cycle is a
-  /// run of the modelled system under a *legal* detector-history limit.
+  /// detector histories, no scripted crashes) — see validate() — so
+  /// that every infinite unrolling of a graph cycle is a run of the
+  /// modelled system under a *legal* detector-history limit.
   std::string liveness;
 };
 

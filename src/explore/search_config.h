@@ -14,13 +14,13 @@
 //
 // The snapshot header (search_header_to_text / search_header_apply)
 // intentionally renders ONLY the fields a stored frontier's soundness
-// depends on: the scenario plus reduction, dependence, fault_dependence,
-// symmetry, state_fingerprints and order_seed. Execution-shape knobs —
-// threads, budgets, save/resume paths, stop_at_first — are absent by
-// design, so resuming a snapshot with a different thread count or budget
-// is legal (the wave-scheduled search is deterministic in those), while
-// resuming under a different reduction configuration is rejected field
-// by field (state_store::resume_mismatch diffs the rendered headers).
+// depends on: the scenario plus reduction, symmetry, state_fingerprints
+// and order_seed. Execution-shape knobs — threads, budgets, save/resume
+// paths, stop_at_first — are absent by design, so resuming a snapshot
+// with a different thread count or budget is legal (the wave-scheduled
+// search is deterministic in those), while resuming under a different
+// reduction configuration is rejected field by field
+// (state_store::resume_mismatch diffs the rendered headers).
 #pragma once
 
 #include <atomic>
@@ -39,27 +39,16 @@ enum class Reduction {
   kDpor,       ///< Dynamic partial-order reduction + sleep sets.
 };
 
-/// What makes two deliveries to the same process dependent.
-enum class Dependence {
-  kProcess,  ///< Same target process = dependent (classic).
-  kContent,  ///< Payload-level commutativity refines kProcess.
-};
-
 struct SearchConfig {
   ScenarioOptions scenario;
 
   // --- Exhaustive search -------------------------------------------------
   /// Cumulative cap on materialized choice points. 0 = unlimited.
   std::uint64_t max_states = 100000;
-  /// Cap on completed runs. 0 = unlimited.
-  std::uint64_t max_runs = 0;
+  /// Both reductions use the sparse fault relation of sim/dependence.h
+  /// (DESIGN.md §12) for crash/drop/duplicate labels; kDpor also lets
+  /// deliveries whose payloads commute be independent.
   Reduction reduction = Reduction::kDpor;
-  Dependence dependence = Dependence::kContent;
-  /// Give crash/drop/duplicate labels a real dependence relation
-  /// (sim/dependence.h) instead of treating every fault label as
-  /// dependent with everything. Sound per DESIGN.md §12; turn off to
-  /// compare against the conservative behaviour.
-  bool fault_dependence = true;
   /// Canonicalize state fingerprints under process renaming within the
   /// scenario's symmetry classes (ScenarioFactory::symmetry_classes).
   /// Opt-in; validate() rejects it for scenarios whose initial
@@ -131,7 +120,5 @@ bool search_header_apply(SearchConfig& cfg, const std::string& key,
 
 [[nodiscard]] std::string reduction_to_text(Reduction r);
 [[nodiscard]] bool parse_reduction(const std::string& s, Reduction* out);
-[[nodiscard]] std::string dependence_to_text(Dependence d);
-[[nodiscard]] bool parse_dependence(const std::string& s, Dependence* out);
 
 }  // namespace wfd::explore

@@ -10,9 +10,9 @@
 //
 //  * the search header (explore/search_config.h): the scenario options
 //    plus the reduction levers the stored frontier is only sound under
-//    (reduction, dependence, fault_dependence, symmetry, fingerprint
-//    pruning, order seed). Validated on load so a snapshot can never be
-//    resumed against a different scenario or reduction configuration.
+//    (reduction, symmetry, fingerprint pruning, order seed). Validated
+//    on load so a snapshot can never be resumed against a different
+//    scenario or reduction configuration.
 //    Execution-shape knobs (threads, budgets) are deliberately absent:
 //    resuming with a different thread count or budget is legal and
 //    changes nothing about what is explored.
@@ -115,8 +115,12 @@ struct StateSnapshot {
   /// bits from per-receiver to per-directed-channel (bit sender*8 +
   /// receiver) and added the s= sender field to gedge= lines; v4's
   /// receiver-granular bits and sender-less edges are unsound to reuse,
-  /// so v4 graphs are refused like any other version mismatch.
-  static constexpr std::uint32_t kVersion = 5;
+  /// so v4 graphs are refused like any other version mismatch. v6
+  /// dropped the dependence / fault_dependence header levers (content
+  /// and fault-aware dependence are the only relation): a v5 header may
+  /// name dependence=process or fault_dependence=0, whose frontier and
+  /// sleep sets are unsound to continue under the sparser relation.
+  static constexpr std::uint32_t kVersion = 6;
   std::uint32_t version = kVersion;
 
   /// Only the search-header fields (scenario + reduction levers) are

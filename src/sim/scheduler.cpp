@@ -154,31 +154,25 @@ StepChoice ReplayScheduler::next(const Network& net, const FailurePattern& f,
   std::vector<std::uint64_t> labels;
   for (ProcessId p = 0; p < n_; ++p) {
     if (!f.alive(p, now)) continue;
-    if (!started_[static_cast<std::size_t>(p)]) {
-      // The first step of a process receives no message; offering
-      // deliveries would silently waste them (the simulator runs
-      // on_start and leaves the message pending).
-      options.push_back(StepChoice{p, 0});
-      labels.push_back(label(p, 0));
-      continue;
-    }
-    bool any_delivery = false;
-    std::uint64_t seen_channels = 0;  // Senders already offered (bitmask).
-    for (std::uint64_t id : net.pending_for(p)) {
-      const ProcessId from = net.get(id).from;
-      if (opt_.oldest_per_channel) {
-        const std::uint64_t bit = std::uint64_t{1} << from;
-        if ((seen_channels & bit) != 0) continue;
-        seen_channels |= bit;
+    // The first step of a process receives no message; offering
+    // deliveries would silently waste them (the simulator runs on_start
+    // and leaves the message pending).
+    if (started_[static_cast<std::size_t>(p)]) {
+      std::uint64_t seen_channels = 0;  // Senders already offered (bitmask).
+      for (std::uint64_t id : net.pending_for(p)) {
+        const ProcessId from = net.get(id).from;
+        if (opt_.oldest_per_channel) {
+          const std::uint64_t bit = std::uint64_t{1} << from;
+          if ((seen_channels & bit) != 0) continue;
+          seen_channels |= bit;
+        }
+        options.push_back(StepChoice{p, id});
+        labels.push_back(label(p, id));
       }
-      options.push_back(StepChoice{p, id});
-      labels.push_back(label(p, id));
-      any_delivery = true;
     }
-    if (opt_.lambda_always || !any_delivery) {
-      options.push_back(StepChoice{p, 0});
-      labels.push_back(label(p, 0));
-    }
+    // A lambda step is always offered: protocols act on timeouts.
+    options.push_back(StepChoice{p, 0});
+    labels.push_back(label(p, 0));
   }
   if (opt_.faults != nullptr) {
     // Adversary moves go after the normal labels so default (index-0)

@@ -7,9 +7,9 @@
 // offers two deliveries to one process; whenever the payload relation
 // declares the pair commuting, both orders are replayed and their
 // composed state fingerprints must coincide. It also checks that DPOR
-// under Dependence::kContent reaches the same verdicts as under
-// kProcess — finding the seeded bug, staying clean on the correct
-// protocols — while exploring no more states.
+// over this relation reaches the same verdicts as the unreduced search
+// — finding the seeded bug, staying clean on the correct protocols —
+// while exploring no more states.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -337,7 +337,8 @@ TEST(CommuteSoundnessTest, BroadcastEchoPairsReachEqualStates) {
 }
 
 // ---------------------------------------------------------------------
-// DPOR equivalence: kContent must reach the same verdicts as kProcess.
+// DPOR equivalence: content-aware DPOR must reach the same verdicts as
+// the unreduced search (Reduction::kNone).
 
 TEST(DependenceEquivalenceTest, ContentModeStillFindsSeededBug) {
   ScenarioOptions opt;
@@ -346,16 +347,16 @@ TEST(DependenceEquivalenceTest, ContentModeStillFindsSeededBug) {
   opt.max_steps = 30;
   const ScenarioBuilder build = ScenarioFactory(opt).builder();
 
-  SearchConfig process;
-  process.scenario = opt;
-  process.dependence = Dependence::kProcess;
-  SearchConfig content = process;
-  content.dependence = Dependence::kContent;
+  SearchConfig reference;
+  reference.scenario = opt;
+  reference.reduction = Reduction::kNone;
+  SearchConfig dpor = reference;
+  dpor.reduction = Reduction::kDpor;
 
-  Explorer pe(build, process);
-  Explorer ce(build, content);
-  const ExploreReport pr = pe.run();
-  const ExploreReport cr = ce.run();
+  Explorer re(build, reference);
+  Explorer de(build, dpor);
+  const ExploreReport pr = re.run();
+  const ExploreReport cr = de.run();
   ASSERT_TRUE(pr.cex.has_value());
   ASSERT_TRUE(cr.cex.has_value());
   EXPECT_EQ(pr.cex->violation.property, cr.cex->violation.property);
@@ -364,29 +365,30 @@ TEST(DependenceEquivalenceTest, ContentModeStillFindsSeededBug) {
 
 TEST(DependenceEquivalenceTest, ContentModeStaysCleanAndExhaustsFaster) {
   // NBAC rather than consensus: its vote slots are the codebase's
-  // commuting-traffic workhorse, so content mode demonstrably skips
+  // commuting-traffic workhorse, so DPOR demonstrably skips commuting
   // races here, while consensus at this depth has no equal-content
-  // pairs in flight and the two modes coincide.
+  // pairs in flight. The unreduced reference must exhaust: at depth 4
+  // it takes 9,814 states (DPOR: 310); past depth 5 it outgrows the cap.
   ScenarioOptions opt;
   opt.problem = "nbac";
   opt.n = 3;
-  opt.max_steps = 8;
+  opt.max_steps = 4;
   opt.fd_per_query = false;
   const ScenarioBuilder build = ScenarioFactory(opt).builder();
 
-  SearchConfig process;
-  process.scenario = opt;
-  process.dependence = Dependence::kProcess;
-  process.state_fingerprints = false;
-  process.stop_at_first = false;
-  process.max_states = 500000;
-  SearchConfig content = process;
-  content.dependence = Dependence::kContent;
+  SearchConfig reference;
+  reference.scenario = opt;
+  reference.reduction = Reduction::kNone;
+  reference.state_fingerprints = false;
+  reference.stop_at_first = false;
+  reference.max_states = 500000;
+  SearchConfig dpor = reference;
+  dpor.reduction = Reduction::kDpor;
 
-  Explorer pe(build, process);
-  Explorer ce(build, content);
-  const ExploreReport pr = pe.run();
-  const ExploreReport cr = ce.run();
+  Explorer re(build, reference);
+  Explorer de(build, dpor);
+  const ExploreReport pr = re.run();
+  const ExploreReport cr = de.run();
   EXPECT_EQ(pr.stats.violations, 0u);
   EXPECT_EQ(cr.stats.violations, 0u);
   ASSERT_TRUE(pr.stats.exhausted);

@@ -181,6 +181,22 @@ TEST(ReplayTest, ParseRejectsGarbage) {
       parse_replay("problem=nope\ndecisions=1\n", &error).has_value());
 }
 
+TEST(ReplayTest, LambdaAlwaysKeyAcceptsOnlyOne) {
+  // Every replay file written while --no-lambda existed carries
+  // lambda_always=1; a 0 names menus without the lambda step, so its
+  // decisions would index different options. Refused, not ignored.
+  std::string error;
+  EXPECT_TRUE(
+      parse_replay("problem=consensus\nlambda_always=1\ndecisions=1\n", &error)
+          .has_value())
+      << error;
+  EXPECT_FALSE(
+      parse_replay("problem=consensus\nlambda_always=0\ndecisions=1\n", &error)
+          .has_value());
+  EXPECT_NE(error.find("bad value for lambda_always: 0"), std::string::npos)
+      << error;
+}
+
 TEST(ReplayTest, ParseRejectsNumericOverflow) {
   // Out-of-range numerics must fail the parse, not silently wrap into a
   // small in-range value that replays a different scenario.

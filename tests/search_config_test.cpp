@@ -50,10 +50,9 @@ SearchConfig apply_header(const std::string& text) {
 TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   const SearchConfig cfg = from_flags(
       {"--problem=nbac", "--n=4", "--depth=18", "--crash=explore",
-       "--fd=static", "--seed=11", "--reduction=sleep-sets", "--dep=process",
-       "--no-fault-dep", "--symmetry", "--no-fingerprints", "--order-seed=9",
-       "--threads=8", "--max-states=0", "--budget-states=123",
-       "--save-state=/tmp/never-written.snap"});
+       "--fd=static", "--seed=11", "--reduction=sleep-sets", "--symmetry",
+       "--no-fingerprints", "--order-seed=9", "--threads=8", "--max-states=0",
+       "--budget-states=123", "--save-state=/tmp/never-written.snap"});
   EXPECT_EQ(validate(cfg), "");
 
   const std::string header = header_text(cfg);
@@ -69,8 +68,6 @@ TEST(SearchConfigTest, CliFlagsRoundTripThroughSnapshotHeader) {
   EXPECT_EQ(back.scenario.seed, 11u);
   EXPECT_FALSE(back.scenario.fd_per_query);
   EXPECT_EQ(back.reduction, Reduction::kSleepSets);
-  EXPECT_EQ(back.dependence, Dependence::kProcess);
-  EXPECT_FALSE(back.fault_dependence);
   EXPECT_TRUE(back.symmetry);
   EXPECT_FALSE(back.state_fingerprints);
   EXPECT_EQ(back.order_seed, 9u);
@@ -88,12 +85,11 @@ TEST(SearchConfigTest, JsonCarriesEverySoundnessLever) {
   const SearchConfig cfg = from_flags(
       {"--problem=register", "--n=3", "--reg-ops=1", "--reg-readers=1",
        "--loss=drop:2,dup:1", "--depth=20", "--reduction=dpor",
-       "--dep=content", "--threads=4", "--order-seed=5"});
+       "--threads=4", "--order-seed=5"});
   const std::string json = config_to_json(cfg);
   for (const char* needle :
        {"\"problem\":\"register\"", "\"n\":3", "\"loss_drops\":2",
         "\"loss_dups\":1", "\"depth\":20", "\"reduction\":\"dpor\"",
-        "\"dependence\":\"content\"", "\"fault_dependence\":true",
         "\"symmetry\":false", "\"state_fingerprints\":true",
         "\"order_seed\":5", "\"threads\":4"}) {
     EXPECT_NE(json.find(needle), std::string::npos)
@@ -106,15 +102,31 @@ TEST(SearchConfigTest, CliFlagOutcomes) {
   // Not SearchConfig flags: the caller (wfd_check) layers these on top.
   EXPECT_EQ(apply_cli_flag(cfg, "--exhaustive"), CliResult::kUnknown);
   EXPECT_EQ(apply_cli_flag(cfg, "--json"), CliResult::kUnknown);
+  // Removed modes: one dependence relation, a lambda step always
+  // offered, no run cap.
+  EXPECT_EQ(apply_cli_flag(cfg, "--dep=content"), CliResult::kUnknown);
+  EXPECT_EQ(apply_cli_flag(cfg, "--no-fault-dep"), CliResult::kUnknown);
+  EXPECT_EQ(apply_cli_flag(cfg, "--no-lambda"), CliResult::kUnknown);
+  EXPECT_EQ(apply_cli_flag(cfg, "--max-runs=5"), CliResult::kUnknown);
   // Recognized flag, unparseable value.
   EXPECT_EQ(apply_cli_flag(cfg, "--n=banana"), CliResult::kBadValue);
   EXPECT_EQ(apply_cli_flag(cfg, "--reduction=fast"), CliResult::kBadValue);
   EXPECT_EQ(apply_cli_flag(cfg, "--crash=maybe"), CliResult::kBadValue);
   EXPECT_EQ(apply_cli_flag(cfg, "--threads=0"), CliResult::kBadValue);
   EXPECT_EQ(apply_cli_flag(cfg, "--loss=drop:0"), CliResult::kBadValue);
+  EXPECT_EQ(apply_cli_flag(cfg, "--loss=drop:1,drop:2"), CliResult::kBadValue);
+  EXPECT_EQ(apply_cli_flag(cfg, "--loss=drop:1,"), CliResult::kBadValue);
+  EXPECT_EQ(apply_cli_flag(cfg, "--loss=drop:2,foo:1"), CliResult::kBadValue);
+  EXPECT_EQ(apply_cli_flag(cfg, "--save-state="), CliResult::kBadValue);
+  EXPECT_EQ(apply_cli_flag(cfg, "--resume="), CliResult::kBadValue);
   // Bad values must not have mutated the config.
   EXPECT_EQ(cfg.reduction, Reduction::kDpor);
   EXPECT_EQ(cfg.scenario.crash_mode, SearchConfig{}.scenario.crash_mode);
+  EXPECT_EQ(cfg.threads, SearchConfig{}.threads);
+  EXPECT_EQ(cfg.scenario.loss_drops, 0);
+  EXPECT_EQ(cfg.scenario.loss_dups, 0);
+  EXPECT_TRUE(cfg.save_path.empty());
+  EXPECT_TRUE(cfg.resume_path.empty());
 }
 
 TEST(SearchConfigTest, ValidateRejectsWhatDriversMustNotRun) {

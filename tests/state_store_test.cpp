@@ -30,8 +30,6 @@ StateSnapshot sample_snapshot() {
   s.config.scenario.n = 3;
   s.config.scenario.max_steps = 30;
   s.config.reduction = Reduction::kDpor;
-  s.config.dependence = Dependence::kContent;
-  s.config.fault_dependence = true;
   s.config.symmetry = true;
   s.config.order_seed = 7;
   s.resume_generation = 3;
@@ -92,8 +90,6 @@ TEST(StateStoreTest, TextRoundTripsEveryField) {
   EXPECT_EQ(p->config.scenario.n, s.config.scenario.n);
   EXPECT_EQ(p->config.scenario.max_steps, s.config.scenario.max_steps);
   EXPECT_EQ(p->config.reduction, s.config.reduction);
-  EXPECT_EQ(p->config.dependence, s.config.dependence);
-  EXPECT_EQ(p->config.fault_dependence, s.config.fault_dependence);
   EXPECT_EQ(p->config.symmetry, s.config.symmetry);
   EXPECT_EQ(p->config.state_fingerprints, s.config.state_fingerprints);
   EXPECT_EQ(p->config.order_seed, s.config.order_seed);
@@ -332,12 +328,14 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
   // dl= bits from per-receiver to per-directed-channel and added the
   // gedge sender field: a v4 graph read under v5 semantics would
   // mistake receiver bits for sender-0 channel bits and carry
-  // sender-less delivery edges, so it is refused the same way.
+  // sender-less delivery edges, so it is refused the same way. The
+  // v5->v6 bump removed the dependence / fault_dependence levers (see
+  // V5HeaderNamingRemovedLeversIsRefused).
   const std::string tag =
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::string want_current =
       "version " + std::to_string(StateSnapshot::kVersion);
-  for (const int old_version : {2, 3, 4}) {
+  for (const int old_version : {2, 3, 4, 5}) {
     std::string old = to_text(sample_snapshot());
     const std::size_t at = old.find(tag);
     ASSERT_NE(at, std::string::npos);
@@ -365,6 +363,26 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
   EXPECT_FALSE(wrong_version);
 }
 
+TEST(StateStoreTest, V5HeaderNamingRemovedLeversIsRefused) {
+  // A v5 snapshot may carry dependence=process or fault_dependence=0: a
+  // frontier and sleep sets built under a coarser relation than the one
+  // this build runs. Those keys are no longer header fields, so only the
+  // version check stands between such a file and a silent resume.
+  const std::string tag =
+      "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
+  std::string v5 = to_text(sample_snapshot());
+  const std::size_t at = v5.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  v5.replace(at, tag.size(),
+             "snapshot_version=5\ndependence=process\nfault_dependence=0");
+  std::string error;
+  bool wrong_version = false;
+  EXPECT_FALSE(parse_snapshot(v5, &error, &wrong_version).has_value());
+  EXPECT_TRUE(wrong_version) << error;
+  EXPECT_NE(error.find("unsupported snapshot_version 5"), std::string::npos)
+      << error;
+}
+
 TEST(StateStoreTest, ResumeMismatchNamesTheField) {
   const StateSnapshot snap = sample_snapshot();
   // The snapshot's own search header resumes cleanly; execution-shape
@@ -386,14 +404,6 @@ TEST(StateStoreTest, ResumeMismatchNamesTheField) {
   SearchConfig red = cfg;
   red.reduction = Reduction::kNone;
   EXPECT_NE(resume_mismatch(snap, red).find("reduction"), std::string::npos);
-  SearchConfig dep = cfg;
-  dep.dependence = Dependence::kProcess;
-  EXPECT_NE(resume_mismatch(snap, dep).find("dependence"),
-            std::string::npos);
-  SearchConfig fdep = cfg;
-  fdep.fault_dependence = false;
-  EXPECT_NE(resume_mismatch(snap, fdep).find("fault_dependence"),
-            std::string::npos);
   SearchConfig sym = cfg;
   sym.symmetry = false;
   EXPECT_NE(resume_mismatch(snap, sym).find("symmetry"), std::string::npos);

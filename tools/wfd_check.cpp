@@ -134,7 +134,9 @@ void usage() {
       "--save-state, exit 4. --liveness=<clause> checks <>[]goal instead\n"
       "of bounded safety: after exhausting the tree the explored state\n"
       "graph is searched for a fair goal-avoiding cycle, reported as a\n"
-      "replayable (and shrinkable) stem+loop lasso.\n"
+      "replayable (and shrinkable) stem+loop lasso. Schedules deliver the\n"
+      "oldest pending message of each channel (per-channel FIFO);\n"
+      "--all-pending offers every pending message (non-FIFO links).\n"
       "\n"
       "--threads=N runs the wave-scheduled exhaustive search on N worker\n"
       "threads (results are identical for every N); in campaign mode it\n"
@@ -147,7 +149,8 @@ void usage() {
       "exit status: 0 no violation, 3 violation found, 1 usage error,\n"
       "             2 resume snapshot from a different scenario or\n"
       "               search configuration,\n"
-      "             4 state budget exhausted, frontier saved,\n"
+      "             4 state budget exhausted (frontier saved with\n"
+      "               --save-state),\n"
       "             5 fair-cycle witness found but its lasso could not\n"
       "               be concretized (internal error; diagnostic on\n"
       "               stderr)\n",
@@ -177,6 +180,11 @@ bool parse(int argc, char** argv, Args& a) {
       continue;
     }
     if (auto v = val("save")) {
+      // An empty path would silently mean "do not save".
+      if (v->empty()) {
+        std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+        return false;
+      }
       a.save_path = *v;
       continue;
     }
@@ -503,14 +511,16 @@ int run_exhaustive(const Args& a) {
                 "explored graph)\n",
                 a.cfg.scenario.liveness.c_str());
   }
-  if (!cfg.save_path.empty() && !save_failed) {
+  const bool saved = !cfg.save_path.empty() && !save_failed;
+  if (saved) {
     std::printf("state saved: %s (continue with --resume=%s)\n",
                 cfg.save_path.c_str(), cfg.save_path.c_str());
   }
   std::printf("no violation found%s\n",
               !budget_left   ? ""
               : deadline_hit ? " yet (deadline reached, partial results)"
-                             : " yet (budget exhausted, frontier saved)");
+              : saved        ? " yet (budget exhausted, frontier saved)"
+                             : " yet (budget exhausted)");
   if (save_failed) return kExitUsage;
   return budget_left ? kExitBudget : kExitClean;
 }
