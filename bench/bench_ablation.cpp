@@ -2,7 +2,8 @@
 //  (a) the read write-back phase of ABD — cost of atomicity vs the
 //      regular-register shortcut (which the tests show is unsafe);
 //  (b) Sigma history shape — quorum size directly prices every register
-//      phase (common-core vs majority vs all-then-correct oracles);
+//      phase (the oracle's majority menu while a majority is correct,
+//      its common-core menu once a majority crashes);
 //  (c) the consensus leader's retry interval — too eager wastes rounds,
 //      too lazy wastes time when the first attempt is lost.
 #include <benchmark/benchmark.h>
@@ -20,18 +21,15 @@ struct OpCost {
   double msgs_per_op = 0.0;
 };
 
-OpCost register_cost(bool atomic_reads, fd::SigmaOracle::Mode mode,
-                     std::uint64_t seed) {
+/// `crashes` processes crash, staggered over the first 2000 steps.
+OpCost register_cost(bool atomic_reads, int crashes, std::uint64_t seed) {
   const int n = 5;
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.max_steps = 400000;
   cfg.seed = seed;
-  fd::SigmaOracle::Options so;
-  so.mode = mode;
-  so.max_stabilization = 200;
-  sim::Simulator s(cfg, sim::FailurePattern(n),
-                   std::make_unique<fd::SigmaOracle>(so), random_sched());
+  sim::Simulator s(cfg, staggered_crashes(n, crashes, 2000),
+                   sigma_oracle(200), random_sched());
   reg::History history;
   reg::AbdRegisterModule<std::int64_t>::Options ropt;
   ropt.atomic_reads = atomic_reads;
@@ -63,8 +61,7 @@ void ablation_tables() {
   for (const bool atomic : {true, false}) {
     Series st, ms;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const auto c =
-          register_cost(atomic, fd::SigmaOracle::Mode::kCommonCore, seed);
+      const auto c = register_cost(atomic, 0, seed);
       st.add(c.steps_per_op);
       ms.add(c.msgs_per_op);
     }
@@ -72,23 +69,22 @@ void ablation_tables() {
                 st.mean(), ms.mean());
   }
 
-  table_header("E12b: Sigma history shape vs register cost (n=5)",
-               "  sigma-mode        steps/op  msgs/op");
-  struct Mode {
-    fd::SigmaOracle::Mode mode;
+  table_header("E12b: Sigma history shape vs register cost (n=5; the "
+               "pattern picks the oracle's Sigma menu)",
+               "  sigma-menu (crashes)   steps/op  msgs/op");
+  struct Menu {
+    int crashes;
     const char* name;
   };
-  for (const Mode m : {Mode{fd::SigmaOracle::Mode::kCommonCore, "common-core"},
-                       Mode{fd::SigmaOracle::Mode::kMajority, "majority"},
-                       Mode{fd::SigmaOracle::Mode::kAllThenCorrect,
-                            "all-then-correct"}}) {
+  for (const Menu m : {Menu{0, "majority (0)"}, Menu{2, "majority (2)"},
+                       Menu{3, "common-core (3)"}}) {
     Series st, ms;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const auto c = register_cost(true, m.mode, seed);
+      const auto c = register_cost(true, m.crashes, seed);
       st.add(c.steps_per_op);
       ms.add(c.msgs_per_op);
     }
-    std::printf("  %-16s  %8.1f  %7.1f\n", m.name, st.mean(), ms.mean());
+    std::printf("  %-21s  %8.1f  %7.1f\n", m.name, st.mean(), ms.mean());
   }
 
   table_header("E12c: consensus leader retry interval with the leader "
@@ -101,18 +97,12 @@ void ablation_tables() {
       cfg.n = 5;
       cfg.max_steps = 400000;
       cfg.seed = seed;
-      // Omega points at process 0 from the start, but 0's messages are
+      // Omega points at process 0 from t=100, but 0's messages are
       // withheld until t=30000: every attempt before then stalls, so
       // the retry interval controls how many rounds are burned while
       // partitioned (and how stale state must be recovered after).
-      fd::OmegaOracle::Options oo;
-      oo.fixed_leader = 0;
-      oo.max_stabilization = 100;
-      fd::SigmaOracle::Options so;
-      so.max_stabilization = 100;
-      auto oracle = std::make_unique<fd::TupleOracle>(
-          std::make_unique<fd::OmegaOracle>(oo),
-          std::make_unique<fd::SigmaOracle>(so));
+      // (The oracle's converged leader is the smallest correct process.)
+      auto oracle = omega_sigma_oracle(100);
       auto filter = [](const sim::Envelope& e, Time now) {
         return e.from == 0 && now < 30000;
       };
@@ -155,8 +145,7 @@ void BM_RegisterReadVariant(benchmark::State& state) {
   const bool atomic = state.range(0) != 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    const auto c =
-        register_cost(atomic, fd::SigmaOracle::Mode::kCommonCore, seed++);
+    const auto c = register_cost(atomic, 0, seed++);
     benchmark::DoNotOptimize(c);
     state.counters["msgs_per_op"] = c.msgs_per_op;
   }

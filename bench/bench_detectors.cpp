@@ -29,21 +29,11 @@ double oracle_witness(const char* which, Time stab, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.record_fd_samples = true;
   auto f = staggered_crashes(n, 2, stab);
-  std::unique_ptr<fd::Oracle> oracle;
-  if (std::string(which) == "omega") {
-    fd::OmegaOracle::Options o;
-    o.max_stabilization = stab;
-    oracle = std::make_unique<fd::OmegaOracle>(o);
-  } else if (std::string(which) == "sigma") {
-    fd::SigmaOracle::Options o;
-    o.max_stabilization = stab;
-    oracle = std::make_unique<fd::SigmaOracle>(o);
-  } else {
-    fd::FsOracle::Options o;
-    o.max_reaction_lag = stab;
-    oracle = std::make_unique<fd::FsOracle>(o);
-  }
-  sim::Simulator s(cfg, f, std::move(oracle), random_sched());
+  fd::ChoiceOracle::Options o;
+  o.omega = std::string(which) == "omega";
+  o.sigma = std::string(which) == "sigma";
+  o.fs = !o.omega && !o.sigma;
+  sim::Simulator s(cfg, f, seeded_oracle(o, stab), random_sched());
   for (int i = 0; i < n; ++i) s.add_process<NopProcess>();
   s.run();
   fd::CheckResult r;
@@ -119,7 +109,7 @@ void shape_tables() {
 void BM_OracleQuery(benchmark::State& state) {
   const int n = 8;
   sim::FailurePattern f(n);
-  fd::OmegaOracle om;
+  fd::ChoiceOracle om({.omega = true, .stabilization = (1 << 20) / 8});
   om.begin_run(f, 1, 1 << 20);
   Time t = 0;
   for (auto _ : state) {

@@ -47,7 +47,7 @@ struct PsiXStats {
   bool fs_branch = false;
 };
 
-PsiXStats run_extraction(int crashes, fd::PsiOracle::Branch branch,
+PsiXStats run_extraction(int crashes, PsiBranch branch,
                          std::uint64_t seed) {
   const int n = 3;
   auto f = staggered_crashes(n, crashes, 1000);
@@ -115,14 +115,14 @@ void shape_table() {
                "sigma-rounds/proc  dag-nodes");
   struct Row {
     int crashes;
-    fd::PsiOracle::Branch branch;
+    PsiBranch branch;
     const char* name;
   };
   const Row rows[] = {
-      {0, fd::PsiOracle::Branch::kOmegaSigma, "omega-sigma"},
-      {1, fd::PsiOracle::Branch::kOmegaSigma, "omega-sigma"},
-      {1, fd::PsiOracle::Branch::kFs, "fs"},
-      {2, fd::PsiOracle::Branch::kFs, "fs"},
+      {0, PsiBranch::kOmegaSigma, "omega-sigma"},
+      {1, PsiBranch::kOmegaSigma, "omega-sigma"},
+      {1, PsiBranch::kFs, "fs"},
+      {2, PsiBranch::kFs, "fs"},
   };
   for (const Row& row : rows) {
     Series t, sr, dn;
@@ -150,8 +150,8 @@ void BM_PsiExtraction(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const auto st = run_extraction(fs ? 1 : 0,
-                                   fs ? fd::PsiOracle::Branch::kFs
-                                      : fd::PsiOracle::Branch::kOmegaSigma,
+                                   fs ? PsiBranch::kFs
+                                      : PsiBranch::kOmegaSigma,
                                    seed++);
     benchmark::DoNotOptimize(st);
     state.counters["branch_time"] = st.branch_time;

@@ -27,8 +27,14 @@ StackStats run_stack(Stack stack, int n, std::uint64_t seed) {
   cfg.n = n;
   cfg.max_steps = 400000;
   cfg.seed = seed;
+  // Psi's (Omega, Sigma) branch with a static, converged leader and
+  // quorum: message counts price the layering, not leader churn.
   sim::Simulator s(cfg, sim::FailurePattern(n),
-                   psi_fs_oracle(fd::PsiOracle::Branch::kOmegaSigma, 500),
+                   seeded_oracle({.fs = true,
+                                  .psi = true,
+                                  .per_query = false,
+                                  .psi_branch = PsiBranch::kOmegaSigma},
+                                 500),
                    random_sched());
   for (int i = 0; i < n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();

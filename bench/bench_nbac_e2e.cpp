@@ -23,7 +23,7 @@ struct E2eStats {
 };
 
 E2eStats run_e2e(int n, int no_votes, int crashes,
-                 fd::PsiOracle::Branch branch, std::uint64_t seed) {
+                 PsiBranch branch, std::uint64_t seed) {
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.max_steps = 400000;
@@ -65,17 +65,17 @@ void shape_table() {
   struct Row {
     int no_votes;
     int crashes;
-    fd::PsiOracle::Branch branch;
+    PsiBranch branch;
     const char* bname;
   };
   const Row rows[] = {
-      {0, 0, fd::PsiOracle::Branch::kOmegaSigma, "omega-sigma"},
-      {1, 0, fd::PsiOracle::Branch::kOmegaSigma, "omega-sigma"},
-      {3, 0, fd::PsiOracle::Branch::kOmegaSigma, "omega-sigma"},
-      {0, 1, fd::PsiOracle::Branch::kFs, "fs"},
-      {0, 1, fd::PsiOracle::Branch::kOmegaSigma, "omega-sigma"},
-      {0, 3, fd::PsiOracle::Branch::kFs, "fs"},
-      {1, 1, fd::PsiOracle::Branch::kFs, "fs"},
+      {0, 0, PsiBranch::kOmegaSigma, "omega-sigma"},
+      {1, 0, PsiBranch::kOmegaSigma, "omega-sigma"},
+      {3, 0, PsiBranch::kOmegaSigma, "omega-sigma"},
+      {0, 1, PsiBranch::kFs, "fs"},
+      {0, 1, PsiBranch::kOmegaSigma, "omega-sigma"},
+      {0, 3, PsiBranch::kFs, "fs"},
+      {1, 1, PsiBranch::kFs, "fs"},
   };
   for (const Row& row : rows) {
     bool all = true, commit = false, abort_seen = false;
@@ -104,8 +104,8 @@ void BM_NbacE2e(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const auto st = run_e2e(5, 0, crashes,
-                            crashes > 0 ? fd::PsiOracle::Branch::kFs
-                                        : fd::PsiOracle::Branch::kOmegaSigma,
+                            crashes > 0 ? PsiBranch::kFs
+                                        : PsiBranch::kOmegaSigma,
                             seed++);
     benchmark::DoNotOptimize(st);
     state.counters["decision_steps"] = st.last_decision_time;

@@ -1,8 +1,8 @@
 // E6 (Theorem 5, Figure 2): quittable consensus with Psi. Shape tables:
 // decision latency in both branches — when Psi turns into (Omega,Sigma)
 // the cost is a consensus; when it turns into FS (after a failure) the
-// processes quit as soon as the switch reaches them; the switch spread
-// dominates either way.
+// processes quit as soon as the switch reaches them; the detector's
+// stabilization bound caps the latency of the consensus branch.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -20,14 +20,14 @@ struct QcStats {
   double messages = 0.0;
 };
 
-QcStats run_qc(int n, int crashes, fd::PsiOracle::Branch branch, Time spread,
+QcStats run_qc(int n, int crashes, PsiBranch branch, Time stab,
                std::uint64_t seed) {
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.max_steps = 400000;
   cfg.seed = seed;
   auto pattern = staggered_crashes(n, crashes, 1000);
-  sim::Simulator s(cfg, pattern, psi_fs_oracle(branch, spread),
+  sim::Simulator s(cfg, pattern, psi_fs_oracle(branch, stab),
                    random_sched());
   std::vector<qc::PsiQcModule<int>*> mods;
   for (int i = 0; i < n; ++i) {
@@ -53,18 +53,18 @@ QcStats run_qc(int n, int crashes, fd::PsiOracle::Branch branch, Time spread,
 }
 
 void shape_tables() {
-  table_header("E6a: QC decision latency by Psi branch (n=4, spread=800)",
+  table_header("E6a: QC decision latency by Psi branch (n=4, stab=800)",
                "  branch       crashes  decided  outcome  last-decision(steps)  messages");
   struct Row {
     const char* name;
-    fd::PsiOracle::Branch branch;
+    PsiBranch branch;
     int crashes;
   };
   for (const Row row :
-       {Row{"omega-sigma", fd::PsiOracle::Branch::kOmegaSigma, 0},
-        Row{"omega-sigma", fd::PsiOracle::Branch::kOmegaSigma, 3},
-        Row{"fs", fd::PsiOracle::Branch::kFs, 1},
-        Row{"fs", fd::PsiOracle::Branch::kFs, 3}}) {
+       {Row{"omega-sigma", PsiBranch::kOmegaSigma, 0},
+        Row{"omega-sigma", PsiBranch::kOmegaSigma, 3},
+        Row{"fs", PsiBranch::kFs, 1},
+        Row{"fs", PsiBranch::kFs, 3}}) {
     Series t, m;
     bool all = true, quit = false;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -79,23 +79,24 @@ void shape_tables() {
                 t.mean(), m.mean());
   }
 
-  table_header("E6b: QC latency vs Psi switch spread (n=4, crash-free, "
-               "omega-sigma branch)",
-               "  spread   last-decision(steps)   messages");
-  for (Time spread : {100, 400, 1600, 6400, 25600}) {
+  table_header("E6b: QC latency vs the detector's stabilization bound "
+               "(n=4, crash-free, omega-sigma branch)",
+               "    stab   last-decision(steps)   messages");
+  for (Time stab : {100, 400, 1600, 6400, 25600}) {
     Series t, m;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const auto st = run_qc(4, 0, fd::PsiOracle::Branch::kOmegaSigma,
-                             spread, seed);
+      const auto st = run_qc(4, 0, PsiBranch::kOmegaSigma, stab, seed);
       t.add(st.last_decision_time);
       m.add(st.messages);
     }
     std::printf("  %6llu   %20.0f   %8.0f\n",
-                static_cast<unsigned long long>(spread), t.mean(), m.mean());
+                static_cast<unsigned long long>(stab), t.mean(), m.mean());
   }
   std::printf("\nexpected shape: the FS branch decides with ~0 extra "
               "messages (quit on switch); the omega-sigma branch pays one "
-              "consensus; latency scales with the switch spread in both.\n");
+              "consensus; its latency tracks the stabilization bound until a "
+              "leader that the flapping detector happens to keep completes "
+              "a round.\n");
 }
 
 void BM_PsiQc(benchmark::State& state) {
@@ -103,8 +104,8 @@ void BM_PsiQc(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const auto st = run_qc(4, fs ? 1 : 0,
-                           fs ? fd::PsiOracle::Branch::kFs
-                              : fd::PsiOracle::Branch::kOmegaSigma,
+                           fs ? PsiBranch::kFs
+                              : PsiBranch::kOmegaSigma,
                            800, seed++);
     benchmark::DoNotOptimize(st);
     state.counters["decision_steps"] = st.last_decision_time;

@@ -12,11 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "fd/fs_oracle.h"
-#include "fd/omega_oracle.h"
+#include "fd/choice_oracle.h"
 #include "fd/oracle.h"
-#include "fd/psi_oracle.h"
-#include "fd/sigma_oracle.h"
 #include "sim/environment.h"
 #include "sim/module.h"
 #include "sim/scheduler.h"
@@ -24,34 +21,26 @@
 
 namespace wfd::bench {
 
+/// A seeded detector oracle over the given components, converging at
+/// `stab`.
+inline std::unique_ptr<fd::Oracle> seeded_oracle(fd::ChoiceOracle::Options o,
+                                                 Time stab) {
+  o.stabilization = stab;
+  return std::make_unique<fd::ChoiceOracle>(o);
+}
+
 inline std::unique_ptr<fd::Oracle> omega_sigma_oracle(Time stab) {
-  fd::OmegaOracle::Options oo;
-  oo.max_stabilization = stab;
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = stab;
-  return std::make_unique<fd::TupleOracle>(
-      std::make_unique<fd::OmegaOracle>(oo),
-      std::make_unique<fd::SigmaOracle>(so));
+  return seeded_oracle({.omega = true, .sigma = true}, stab);
 }
 
 inline std::unique_ptr<fd::Oracle> sigma_oracle(Time stab) {
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = stab;
-  return std::make_unique<fd::SigmaOracle>(so);
+  return seeded_oracle({.sigma = true}, stab);
 }
 
-inline std::unique_ptr<fd::Oracle> psi_fs_oracle(fd::PsiOracle::Branch branch,
-                                                 Time stab) {
-  fd::PsiOracle::Options po;
-  po.branch = branch;
-  po.max_switch_spread = stab;
-  po.omega.max_stabilization = stab;
-  po.sigma.max_stabilization = stab;
-  fd::FsOracle::Options fo;
-  fo.max_reaction_lag = stab;
-  return std::make_unique<fd::TupleOracle>(
-      std::make_unique<fd::PsiOracle>(po),
-      std::make_unique<fd::FsOracle>(fo));
+using PsiBranch = fd::ChoiceOracle::PsiBranch;
+
+inline std::unique_ptr<fd::Oracle> psi_fs_oracle(PsiBranch branch, Time stab) {
+  return seeded_oracle({.fs = true, .psi = true, .psi_branch = branch}, stab);
 }
 
 inline std::unique_ptr<sim::Scheduler> random_sched() {

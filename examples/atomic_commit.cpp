@@ -15,9 +15,7 @@
 #include <optional>
 #include <vector>
 
-#include "fd/fs_oracle.h"
-#include "fd/oracle.h"
-#include "fd/psi_oracle.h"
+#include "fd/choice_oracle.h"
 #include "nbac/nbac_from_qc.h"
 #include "qc/psi_qc.h"
 #include "sim/module.h"
@@ -34,21 +32,19 @@ struct Scenario {
   const char* name;
   std::vector<nbac::Vote> votes;
   std::optional<ProcessId> crash;  ///< Crashes at t=0, before voting.
-  fd::PsiOracle::Branch branch;
+  fd::ChoiceOracle::PsiBranch branch;
 };
 
 void run_scenario(const Scenario& sc, std::uint64_t seed) {
   sim::FailurePattern pattern(kN);
   if (sc.crash.has_value()) pattern.crash_at(*sc.crash, 0);
 
-  fd::PsiOracle::Options psi_opt;
-  psi_opt.branch = sc.branch;
-  psi_opt.max_switch_spread = 1000;
-  fd::FsOracle::Options fs_opt;
-  fs_opt.max_reaction_lag = 1000;
-  auto oracle = std::make_unique<fd::TupleOracle>(
-      std::make_unique<fd::PsiOracle>(psi_opt),
-      std::make_unique<fd::FsOracle>(fs_opt));
+  fd::ChoiceOracle::Options fd_opt;
+  fd_opt.fs = true;
+  fd_opt.psi = true;
+  fd_opt.stabilization = 1000;
+  fd_opt.psi_branch = sc.branch;
+  auto oracle = std::make_unique<fd::ChoiceOracle>(fd_opt);
 
   sim::SimConfig cfg;
   cfg.n = kN;
@@ -104,21 +100,21 @@ int main() {
                 {nbac::Vote::kYes, nbac::Vote::kYes, nbac::Vote::kYes,
                  nbac::Vote::kYes},
                 std::nullopt,
-                fd::PsiOracle::Branch::kOmegaSigma},
+                fd::ChoiceOracle::PsiBranch::kOmegaSigma},
                11);
 
   run_scenario({"branch 2 votes No: abort",
                 {nbac::Vote::kYes, nbac::Vote::kYes, nbac::Vote::kNo,
                  nbac::Vote::kYes},
                 std::nullopt,
-                fd::PsiOracle::Branch::kOmegaSigma},
+                fd::ChoiceOracle::PsiBranch::kOmegaSigma},
                12);
 
   run_scenario({"branch 1 crashes before voting: abort, survivors live on",
                 {nbac::Vote::kYes, nbac::Vote::kYes, nbac::Vote::kYes,
                  nbac::Vote::kYes},
                 ProcessId{1},
-                fd::PsiOracle::Branch::kFs},
+                fd::ChoiceOracle::PsiBranch::kFs},
                13);
 
   return 0;

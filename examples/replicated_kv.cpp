@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "fd/sigma_oracle.h"
+#include "fd/choice_oracle.h"
 #include "reg/abd_register.h"
 #include "sim/module.h"
 #include "sim/scheduler.h"
@@ -100,15 +100,16 @@ int main() {
   pattern.crash_at(2, 250);
   pattern.crash_at(3, 350);
 
-  fd::SigmaOracle::Options sigma_opt;
-  sigma_opt.max_stabilization = 2000;
+  fd::ChoiceOracle::Options sigma_opt;
+  sigma_opt.sigma = true;
+  sigma_opt.stabilization = 2000;
 
   sim::SimConfig cfg;
   cfg.n = kN;
   cfg.max_steps = 400000;
   cfg.seed = 7;
   sim::Simulator sim(cfg, pattern,
-                     std::make_unique<fd::SigmaOracle>(sigma_opt),
+                     std::make_unique<fd::ChoiceOracle>(sigma_opt),
                      std::make_unique<sim::RandomFairScheduler>());
 
   for (int i = 0; i < kN; ++i) {

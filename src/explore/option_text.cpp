@@ -64,7 +64,6 @@ void scenario_to_text(std::ostream& out, const ScenarioOptions& o) {
   out << "crash_mode=" << o.crash_mode << "\n";
   out << "loss_drops=" << o.loss_drops << "\n";
   out << "loss_dups=" << o.loss_dups << "\n";
-  out << "fd_adversarial=" << (o.fd_adversarial ? 1 : 0) << "\n";
   out << "max_steps=" << o.max_steps << "\n";
   out << "seed=" << o.seed << "\n";
   out << "stabilization=" << time_to_text(o.stabilization) << "\n";
@@ -97,7 +96,12 @@ bool scenario_apply(ScenarioOptions& o, const std::string& key,
   } else if (key == "loss_dups") {
     *ok = parse_int(val, &o.loss_dups);
   } else if (key == "fd_adversarial") {
-    *ok = parse_bool(val, &o.fd_adversarial);
+    // Files written while --fd=adversarial existed: that mode was
+    // per-query choice plus pattern tracking, which crash_mode
+    // "explore" already turns on, so 1 replays the same tree as flap.
+    bool adversarial = false;
+    *ok = parse_bool(val, &adversarial);
+    if (adversarial) o.fd_per_query = true;
   } else if (key == "max_steps") {
     *ok = parse_time(val, &o.max_steps);
   } else if (key == "seed") {

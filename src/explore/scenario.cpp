@@ -7,12 +7,11 @@
 #include "broadcast/reliable_broadcast.h"
 #include "common/check.h"
 #include "consensus/omega_sigma_consensus.h"
-#include "explore/choice_oracle.h"
 #include "explore/liveness.h"
 #include "explore/seeded_bug.h"
+#include "fd/choice_oracle.h"
 #include "fd/heartbeat_omega.h"
 #include "inject/fault_plan.h"
-#include "inject/fd_adversary.h"
 #include "nbac/nbac_from_qc.h"
 #include "qc/psi_qc.h"
 #include "reg/abd_register.h"
@@ -391,10 +390,6 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
   if (opt.loss_drops < 0 || opt.loss_dups < 0) {
     return "loss budgets must be non-negative";
   }
-  if (opt.fd_adversarial && opt.stabilization != kNever) {
-    return "fd_adversarial defers convergence past the horizon and "
-           "requires stabilization == kNever";
-  }
   if (spec == nullptr) return "unknown problem '" + opt.problem + "'";
   if (opt.nbac_no_voter != kNoProcess &&
       (opt.nbac_no_voter < 0 || opt.nbac_no_voter >= opt.n)) {
@@ -425,10 +420,6 @@ std::string ScenarioFactory::validate(const ScenarioOptions& opt) {
     // as a run of the system, so each source of nondeterminism must be
     // legal *in the limit* — not merely prefix-legal — and the enabled
     // menu at a state must be a function of its fingerprint alone.
-    if (opt.fd_adversarial) {
-      return "liveness checking needs limit-legal detector histories; "
-             "fd_adversarial explores prefix-legal flapping";
-    }
     if (opt.stabilization != kNever) {
       return "liveness checking folds convergence into the static "
              "history itself; stabilization must stay unset";
@@ -520,7 +511,7 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
                            opt_.record_fd_samples};
   const Detectors& fd = spec_->fd;
 
-  ChoiceOracle::Options oo;
+  fd::ChoiceOracle::Options oo;
   oo.per_query = opt_.fd_per_query;
   oo.stabilization = opt_.stabilization;
   // Liveness mode: Psi must be a converged limit from the start (see
@@ -551,22 +542,16 @@ Scenario ScenarioFactory::build(sim::ChoiceSource& choices) const {
   so.oldest_per_channel = opt_.oldest_per_channel;
   so.faults = faults.get();
 
-  std::unique_ptr<fd::Oracle> oracle;
-  if (opt_.fd_adversarial) {
-    oracle = std::make_unique<inject::FdAdversary>(&choices, oo);
-  } else {
-    oracle = std::make_unique<ChoiceOracle>(&choices, oo);
-  }
-
   out.sim = std::make_unique<sim::Simulator>(
-      cfg, pattern, std::move(oracle),
+      cfg, pattern, std::make_unique<fd::ChoiceOracle>(&choices, oo),
       std::make_unique<sim::ReplayScheduler>(&choices, so));
   if (faults != nullptr) out.sim->adopt_faults(std::move(faults));
 
-  // Under injection the detector history must stay legal for the pattern
-  // the run actually reconstructs — cross-check the prefix-checkable
-  // clauses of the enabled components via fd/history_checker.
-  if ((opt_.fd_adversarial || crash_explore) && opt_.record_fd_samples &&
+  // Under per-query histories or injected crashes the detector history
+  // must stay legal for the pattern the run actually reconstructs —
+  // cross-check the prefix-checkable clauses of the enabled components
+  // via fd/history_checker.
+  if ((opt_.fd_per_query || crash_explore) && opt_.record_fd_samples &&
       fd.pattern_sensitive()) {
     out.invariants.push_back(
         std::make_unique<FdPrefixInvariant>(fd.fs, fd.psi));

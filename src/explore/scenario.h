@@ -49,10 +49,6 @@ struct ScenarioOptions {
   /// retransmission wrapper when either is nonzero.
   int loss_drops = 0;
   int loss_dups = 0;
-  /// Adversarial detector: every query is a fresh choice over the menus
-  /// legal for the *evolving* pattern (inject/fd_adversary.h). Forces
-  /// per-query choice; requires stabilization == kNever.
-  bool fd_adversarial = false;
   /// kNever: crash times are exploration choice points (a small menu of
   /// times within the horizon). Otherwise faulty process i crashes at
   /// crash_time * (i + 1).
@@ -64,7 +60,10 @@ struct ScenarioOptions {
   /// finite values make liveness meaningful for campaign runs).
   Time stabilization = kNever;
   /// false: one static detector history per run instead of per-query
-  /// choices — a much smaller tree.
+  /// choices — a much smaller tree. Per-query histories under
+  /// crash_mode "explore" are the most hostile detector the explorer
+  /// models: every query ranges over what is legal for the evolving
+  /// pattern.
   bool fd_per_query = true;
   /// Retain FD samples so SigmaIntersectionInvariant can see quorums.
   bool record_fd_samples = true;
@@ -130,15 +129,16 @@ struct Detectors {
   [[nodiscard]] constexpr bool any() const {
     return omega || sigma || psi || fs;
   }
-  /// Sigma-style quorum histories (Psi's (Omega, Sigma) branch
-  /// included) exist only while a majority is correct, so the failure
-  /// pattern — scripted or reconstructed by injection — must keep one.
+  /// The explorer ranges over the majority Sigma menu only (Psi's
+  /// (Omega, Sigma) branch included; fd/choice_oracle.h), so the failure
+  /// pattern — scripted or reconstructed by injection — must keep a
+  /// majority correct.
   [[nodiscard]] constexpr bool needs_majority() const { return sigma || psi; }
   /// FS and Psi are the only components whose outputs read the evolving
   /// failure pattern (failure_by(t)) mid-run: an injected crash is then
   /// observable by every process through its next query, and the
   /// explorer must keep crash labels dependent with everything. Omega
-  /// and Sigma menus — static or per-query, adversarial included —
+  /// and Sigma menus — static or per-query —
   /// never re-read the pattern before stabilization.
   [[nodiscard]] constexpr bool pattern_sensitive() const { return psi || fs; }
 };

@@ -119,8 +119,12 @@ struct StateSnapshot {
   /// dropped the dependence / fault_dependence header levers (content
   /// and fault-aware dependence are the only relation): a v5 header may
   /// name dependence=process or fault_dependence=0, whose frontier and
-  /// sleep sets are unsound to continue under the sparser relation.
-  static constexpr std::uint32_t kVersion = 6;
+  /// sleep sets are unsound to continue under the sparser relation. v7
+  /// dropped the fd_adversarial header field (per-query histories under
+  /// crash_mode=explore are the same tree) and let Psi's (Omega, Sigma)
+  /// branch fill the omega/sigma components, which changes the
+  /// fingerprints of every Psi scenario.
+  static constexpr std::uint32_t kVersion = 7;
   std::uint32_t version = kVersion;
 
   /// Only the search-header fields (scenario + reduction levers) are

@@ -95,7 +95,7 @@ class PsiExtractionModule : public sim::Module, public sim::FdSource {
 
   /// FdSource: the emulated Psi output (omega/sigma components also
   /// populated once the (Omega, Sigma) branch is live, mirroring
-  /// PsiOracle).
+  /// fd::ChoiceOracle).
   [[nodiscard]] fd::FdValue fd_value() const override;
 
   enum class Stage { kForest, kAgreeing, kRed, kOmegaSigma };

@@ -24,8 +24,6 @@ class ScriptedOracle : public fd::Oracle {
     return step.value;
   }
 
-  [[nodiscard]] std::string name() const override { return "scripted"; }
-
  private:
   const std::vector<ScriptStep>* script_;
 };

@@ -28,7 +28,6 @@ class PerfectOracle : public Oracle {
   void begin_run(const sim::FailurePattern& f, std::uint64_t seed,
                  Time horizon) override;
   FdValue query(ProcessId p, Time t) override;
-  [[nodiscard]] std::string name() const override { return "P"; }
 
  private:
   Options opt_;
@@ -56,7 +55,6 @@ class StrongOracle : public Oracle {
   void begin_run(const sim::FailurePattern& f, std::uint64_t seed,
                  Time horizon) override;
   FdValue query(ProcessId p, Time t) override;
-  [[nodiscard]] std::string name() const override { return "S"; }
 
   [[nodiscard]] ProcessId trusted() const { return trusted_; }
 
@@ -83,7 +81,6 @@ class EventuallyPerfectOracle : public Oracle {
   void begin_run(const sim::FailurePattern& f, std::uint64_t seed,
                  Time horizon) override;
   FdValue query(ProcessId p, Time t) override;
-  [[nodiscard]] std::string name() const override { return "EvP"; }
 
  private:
   Options opt_;
@@ -107,7 +104,6 @@ class EventuallyStrongOracle : public Oracle {
   void begin_run(const sim::FailurePattern& f, std::uint64_t seed,
                  Time horizon) override;
   FdValue query(ProcessId p, Time t) override;
-  [[nodiscard]] std::string name() const override { return "EvS"; }
 
   [[nodiscard]] ProcessId trusted() const { return trusted_; }
 

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "fd/values.h"
 #include "sim/failure_pattern.h"
@@ -34,15 +32,14 @@ class Oracle {
   /// The failure pattern just changed: p crashed at time t (fault
   /// injection reconstructs the pattern on the fly). Oracles that
   /// received the pattern at begin_run may ignore this — a history legal
-  /// for the scripted pattern stays prefix-extendable — but pattern-aware
-  /// adversarial oracles update their live copy here so later answers
-  /// (FS red, Ψ's failure branch) see the injected crash.
+  /// for the scripted pattern stays prefix-extendable — but an oracle
+  /// tracking the live pattern (ChoiceOracle::Options::live_pattern)
+  /// updates its copy here so later answers (FS red, Ψ's failure branch)
+  /// see the injected crash.
   virtual void on_crash(ProcessId p, Time t) {
     (void)p;
     (void)t;
   }
-
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// Fold everything about the realised history that can still influence
   /// answers after time `now` (latched decisions, time left until a
@@ -60,37 +57,7 @@ class NullOracle : public Oracle {
  public:
   void begin_run(const sim::FailurePattern&, std::uint64_t, Time) override {}
   FdValue query(ProcessId, Time) override { return FdValue{}; }
-  [[nodiscard]] std::string name() const override { return "none"; }
   void encode_state(sim::StateEncoder&, Time) const override {}
-};
-
-/// Combines two oracles into a tuple detector (e.g. (Omega, Sigma) from an
-/// Omega oracle and a Sigma oracle, or (Psi, FS)). Components present in
-/// the second oracle's output overwrite absent components of the first.
-class TupleOracle : public Oracle {
- public:
-  TupleOracle(std::unique_ptr<Oracle> a, std::unique_ptr<Oracle> b);
-
-  void begin_run(const sim::FailurePattern& f, std::uint64_t seed,
-                 Time horizon) override;
-  FdValue query(ProcessId p, Time t) override;
-  void on_crash(ProcessId p, Time t) override {
-    a_->on_crash(p, t);
-    b_->on_crash(p, t);
-  }
-  [[nodiscard]] std::string name() const override;
-  void encode_state(sim::StateEncoder& enc, Time now) const override {
-    enc.push("a");
-    a_->encode_state(enc, now);
-    enc.pop();
-    enc.push("b");
-    b_->encode_state(enc, now);
-    enc.pop();
-  }
-
- private:
-  std::unique_ptr<Oracle> a_;
-  std::unique_ptr<Oracle> b_;
 };
 
 }  // namespace wfd::fd

@@ -2,7 +2,7 @@
 // which process steps, which pending message it receives, which value a
 // failure-detector oracle emits from its allowed set, where crashes land
 // — is funnelled through one ChoiceSource. A run driven by choice-aware
-// components (ReplayScheduler, explore::ChoiceOracle, the explore
+// components (ReplayScheduler, fd::ChoiceOracle, the explore
 // scenario builders) is then a pure function of its decision sequence:
 // record the indices and the run replays bit-for-bit; enumerate them and
 // the run tree is explored exhaustively (src/explore/).

@@ -31,7 +31,7 @@
 //    failure_by(t); see ScenarioFactory::pattern_sensitive), a crash IS
 //    observable by every process through its next query, so crash labels
 //    stay dependent with everything. Omega/Sigma-only scenarios — static
-//    or per-query, including --fd=adversarial — never re-read the
+//    or per-query, under explored crashes too — never re-read the
 //    pattern before stabilization, and exploration requires
 //    stabilization == never, so they take the sparse relation.
 //

@@ -149,14 +149,8 @@ TEST(ConsensusEdge, LeaderIsolationDelaysButNeverBreaksAgreement) {
   cfg.n = n;
   cfg.max_steps = 200000;
   cfg.seed = 19;
-  fd::OmegaOracle::Options oo;
-  oo.fixed_leader = 0;
-  oo.max_stabilization = 100;
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = 100;
-  auto oracle = std::make_unique<fd::TupleOracle>(
-      std::make_unique<fd::OmegaOracle>(oo),
-      std::make_unique<fd::SigmaOracle>(so));
+  // From t=100 the oracle's leader is the smallest correct process, 0.
+  auto oracle = test::omega_sigma(100);
   // Block every message from the leader until t = 50000.
   auto filter = [](const sim::Envelope& e, Time now) {
     return e.from == 0 && now < 50000;

@@ -76,8 +76,7 @@ TEST(SingleProcessTest, QcOmegaSigmaBranch) {
   cfg.max_steps = 5000;
   cfg.seed = 3;
   sim::Simulator s(cfg, test::pattern(1),
-                   test::psi_oracle(fd::PsiOracle::Branch::kOmegaSigma, 64,
-                                    64),
+                   test::psi_oracle(test::PsiBranch::kOmegaSigma, 64),
                    test::round_robin());
   std::optional<qc::QcResult<int>> result;
   auto& host = s.add_process<sim::ModularProcess>();
@@ -207,7 +206,7 @@ TEST(TwoProcessTest, NbacWithOneCrashAborts) {
   cfg.n = 2;
   cfg.max_steps = 150000;
   cfg.seed = 9;
-  sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kFs, 300),
+  sim::Simulator s(cfg, f, test::psi_fs(test::PsiBranch::kFs, 300),
                    test::random_sched());
   std::optional<nbac::Decision> decision;
   for (int i = 0; i < 2; ++i) {

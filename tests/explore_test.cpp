@@ -197,6 +197,34 @@ TEST(ReplayTest, LambdaAlwaysKeyAcceptsOnlyOne) {
       << error;
 }
 
+TEST(ReplayTest, AdversarialKeyReplaysAsFlap) {
+  // Written while --fd=adversarial existed (per-query choices plus
+  // pattern tracking). Crash_mode "explore" turns the tracking on
+  // itself, so the decisions replay the same counterexample under flap.
+  const std::string text =
+      "# wfd_check replay\n"
+      "note=agreement(decide): p0 decided 0 but p2 decided 1 at t=10\n"
+      "problem=consensus-crash-bug\nn=3\ncrashes=1\ncrash_time=never\n"
+      "crash_mode=explore\nloss_drops=0\nloss_dups=0\nfd_adversarial=1\n"
+      "max_steps=40\nseed=1\nstabilization=never\nfd_per_query=1\n"
+      "record_fd_samples=1\nnbac_no_voter=-1\nreg_ops=2\nreg_readers=0\n"
+      "abcast_senders=2\noldest_per_channel=1\nliveness=\n"
+      "decisions=0,1,3,1,3,0,0,1,4,0,0,2,1\n";
+  std::string error;
+  const auto parsed = parse_replay(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_TRUE(parsed->scenario.fd_per_query);
+  const ReplayOutcome out =
+      run_replay(ScenarioFactory(parsed->scenario).builder(),
+                 parsed->decisions);
+  ASSERT_TRUE(out.violation.has_value());
+  EXPECT_EQ(out.violation->property + ": " + out.violation->message,
+            parsed->note);
+  EXPECT_FALSE(
+      parse_replay("problem=qc\nfd_adversarial=2\ndecisions=1\n", &error)
+          .has_value());
+}
+
 TEST(ReplayTest, ParseRejectsNumericOverflow) {
   // Out-of-range numerics must fail the parse, not silently wrap into a
   // small in-range value that replays a different scenario.
@@ -365,6 +393,60 @@ TEST(CampaignTest, StopFlagCancelsFrontierWorkers) {
   EXPECT_EQ(rep.violations, 1u);
   EXPECT_LT(rep.nodes, co.max_states / 10);
   EXPECT_LT(rep.runs, co.runs / 10);
+}
+
+// Fires at the first `kind` event whose value satisfies `hit`: turns
+// "some explored run reaches X" into a counterexample search.
+class ReachedInvariant : public Invariant {
+ public:
+  ReachedInvariant(std::string kind, bool (*hit)(std::int64_t))
+      : kind_(std::move(kind)), hit_(hit) {}
+  [[nodiscard]] std::string name() const override { return "reached"; }
+  std::optional<Violation> check(const sim::Simulator& sim) override {
+    for (const auto& e : sim.trace().events()) {
+      if (e.kind == kind_ && hit_(e.value)) {
+        return Violation{name(), kind_ + " " + std::to_string(e.value), e.t};
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::string kind_;
+  bool (*hit_)(std::int64_t);
+};
+
+// Psi's (Omega, Sigma) branch reaches Figure 2's inner consensus, so the
+// explorer's QC runs decide values (not only Q) and its NBAC runs
+// commit: the QC/NBAC lanes check agreement on decided values.
+TEST(ExplorerTest, QcDecidesAValueAndNbacCommits) {
+  struct Case {
+    const char* problem;
+    const char* kind;
+    bool (*hit)(std::int64_t);
+  };
+  for (const Case c :
+       {Case{"qc", "qc-decide", [](std::int64_t v) { return v != -1; }},
+        Case{"nbac", "nbac-decide", [](std::int64_t v) { return v == 1; }}}) {
+    ScenarioOptions opt;
+    opt.problem = c.problem;
+    opt.n = 3;
+    opt.max_steps = 16;
+    opt.fd_per_query = false;
+    const ScenarioBuilder clean = ScenarioFactory(opt).builder();
+    const ScenarioBuilder build = [clean, c](sim::ChoiceSource& choices) {
+      Scenario sc = clean(choices);
+      sc.invariants.push_back(
+          std::make_unique<ReachedInvariant>(c.kind, c.hit));
+      return sc;
+    };
+    SearchConfig cfg;
+    cfg.scenario = opt;
+    cfg.max_states = 0;
+    const ExploreReport rep = Explorer(build, cfg).run();
+    ASSERT_TRUE(rep.cex.has_value()) << c.problem << " never reached";
+    EXPECT_EQ(rep.cex->violation.property, "reached") << c.problem;
+  }
 }
 
 // Legality sweeps: the correct protocols with choice-driven (adversarial

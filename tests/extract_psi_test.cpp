@@ -337,8 +337,7 @@ TEST(ExtractPsiTest, OmegaSigmaBranchFromPsiBackedQc) {
   cfg.max_steps = 120000;
   cfg.seed = 5;
   sim::Simulator s(cfg, f,
-                   test::psi_oracle(fd::PsiOracle::Branch::kOmegaSigma,
-                                    /*spread=*/300, /*stab=*/300),
+                   test::psi_oracle(test::PsiBranch::kOmegaSigma, /*stab=*/300),
                    test::random_sched());
   PsiRig rig;
   build_psi_extraction(s, n, psi_qc_spec(n), psi_outer(), rig);
@@ -362,8 +361,7 @@ TEST(ExtractPsiTest, FsBranchWhenDetectorTurnsRed) {
   cfg.max_steps = 120000;
   cfg.seed = 7;
   sim::Simulator s(cfg, f,
-                   test::psi_oracle(fd::PsiOracle::Branch::kFs,
-                                    /*spread=*/300, /*stab=*/300),
+                   test::psi_oracle(test::PsiBranch::kFs, /*stab=*/300),
                    test::random_sched());
   PsiRig rig;
   build_psi_extraction(s, n, psi_qc_spec(n), psi_outer(), rig);
@@ -424,8 +422,7 @@ TEST_P(ExtractPsiAutoSweep, EmulationLegalUnderAutoBranch) {
   cfg.max_steps = 100000;
   cfg.seed = GetParam() * 97 + 5;
   sim::Simulator s(cfg, f,
-                   test::psi_oracle(fd::PsiOracle::Branch::kAuto,
-                                    /*spread=*/300, /*stab=*/300),
+                   test::psi_oracle(test::PsiBranch::kChosen, /*stab=*/300),
                    test::random_sched());
   PsiRig rig;
   build_psi_extraction(s, n, psi_qc_spec(n), psi_outer(), rig);

@@ -1,6 +1,8 @@
 // Every oracle must produce histories satisfying its formal definition,
 // across environments, seeds and schedulers — checked with the
-// history-checker implementations of the Section 2 definitions.
+// history-checker implementations of the Section 2 definitions. Omega,
+// Sigma, Psi and FS are the seeded ChoiceOracle (both Sigma menus, Psi
+// with its branch chosen and forced each way).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +23,7 @@ class OracleSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
   static constexpr int kN = 5;
   static constexpr Time kHorizon = 6000;
+  static constexpr Time kStab = 400;
 
   sim::FailurePattern sample_pattern() {
     Rng rng(GetParam().seed * 7919 + 13);
@@ -28,6 +31,26 @@ class OracleSweep : public ::testing::TestWithParam<SweepParam> {
     // Crashes land in the first half so eventual clauses have witnesses.
     auto f = env.sample(rng, kHorizon / 2);
     return f;
+  }
+
+  /// `f` with more processes crashing at kHorizon / 2 until correct(F)
+  /// is a minority.
+  static sim::FailurePattern minority_correct(sim::FailurePattern f) {
+    for (ProcessId p = 0; 2 * f.correct().size() > kN; ++p) {
+      if (f.correct().contains(p)) f.crash_at(p, kHorizon / 2);
+    }
+    return f;
+  }
+
+  /// `f` restricted to its first crashes that keep correct(F) a
+  /// majority.
+  static sim::FailurePattern majority_correct(const sim::FailurePattern& f) {
+    sim::FailurePattern out(kN);
+    for (ProcessId p : f.faulty().members()) {
+      if (2 * (out.faulty().size() + 1) >= kN) break;
+      out.crash_at(p, f.crash_time(p));
+    }
+    return out;
   }
 
   std::vector<sim::FdSampleRecord> run_oracle(
@@ -50,19 +73,42 @@ TEST_P(OracleSweep, OmegaHistoryIsLegal) {
   EXPECT_TRUE(r.ok) << r.violation;
 }
 
+// Under a minority-correct pattern Sigma draws from its common-core
+// menu: every quorum contains one core process.
 TEST_P(OracleSweep, SigmaCommonCoreHistoryIsLegal) {
-  const auto f = sample_pattern();
+  const auto f = minority_correct(sample_pattern());
   const auto samples = run_oracle(test::sigma_oracle(), f);
   const auto r = fd::check_sigma_history(samples, f);
   EXPECT_TRUE(r.ok) << r.violation;
+  ProcessSet core = ProcessSet::full(kN);
+  for (const auto& s : samples) {
+    ASSERT_TRUE(s.value.sigma.has_value());
+    core = core.set_intersection(*s.value.sigma);
+  }
+  EXPECT_FALSE(core.empty()) << "no common core";
 }
 
+// The common-core menu's other quorum is the pool: every process before
+// stabilization, the correct ones from it on.
 TEST_P(OracleSweep, SigmaAllThenCorrectHistoryIsLegal) {
-  const auto f = sample_pattern();
-  const auto samples = run_oracle(
-      test::sigma_oracle(400, fd::SigmaOracle::Mode::kAllThenCorrect), f);
+  const auto f = minority_correct(sample_pattern());
+  const auto samples = run_oracle(test::sigma_oracle(kStab), f);
   const auto r = fd::check_sigma_history(samples, f);
   EXPECT_TRUE(r.ok) << r.violation;
+  for (const auto& s : samples) {
+    const ProcessSet pool = s.t < kStab ? ProcessSet::full(kN) : f.correct();
+    EXPECT_TRUE(s.value.sigma->size() == 1 || *s.value.sigma == pool)
+        << "t=" << s.t;
+  }
+}
+
+// Under a majority-correct pattern Sigma draws minimal majorities.
+TEST_P(OracleSweep, SigmaMajorityHistoryIsLegal) {
+  const auto f = majority_correct(sample_pattern());
+  const auto samples = run_oracle(test::sigma_oracle(), f);
+  const auto r = fd::check_sigma_history(samples, f);
+  EXPECT_TRUE(r.ok) << r.violation;
+  for (const auto& s : samples) EXPECT_EQ(s.value.sigma->size(), kN / 2 + 1);
 }
 
 TEST_P(OracleSweep, FsHistoryIsLegal) {
@@ -84,18 +130,50 @@ TEST_P(OracleSweep, PsiForcedFsBranchRequiresFailure) {
   if (f.faulty().empty()) {
     f.crash_at(0, 100);  // The FS branch needs a failure.
   }
-  const auto samples =
-      run_oracle(test::psi_oracle(fd::PsiOracle::Branch::kFs), f);
+  const auto samples = run_oracle(test::psi_oracle(test::PsiBranch::kFs), f);
   const auto r = fd::check_psi_history(samples, f);
   EXPECT_TRUE(r.ok) << r.violation;
+  for (const auto& s : samples) {
+    EXPECT_NE(s.value.psi->mode, fd::PsiValue::Mode::kOmegaSigma);
+    if (s.value.psi->mode == fd::PsiValue::Mode::kFs) {
+      EXPECT_TRUE(f.failure_by(s.t)) << "t=" << s.t;
+    }
+  }
 }
 
 TEST_P(OracleSweep, PsiForcedOmegaSigmaBranch) {
   const auto f = sample_pattern();
   const auto samples =
-      run_oracle(test::psi_oracle(fd::PsiOracle::Branch::kOmegaSigma), f);
+      run_oracle(test::psi_oracle(test::PsiBranch::kOmegaSigma), f);
   const auto r = fd::check_psi_history(samples, f);
   EXPECT_TRUE(r.ok) << r.violation;
+  for (const auto& s : samples) {
+    EXPECT_NE(s.value.psi->mode, fd::PsiValue::Mode::kFs);
+  }
+}
+
+// Figure 2 hands Psi's (Omega, Sigma) branch to an unmodified
+// (Omega, Sigma) consensus, so in that mode the omega/sigma components
+// carry Psi's own leader and quorum — and are absent otherwise.
+TEST_P(OracleSweep, PsiOmegaSigmaModeFillsOmegaAndSigma) {
+  const auto f = sample_pattern();
+  for (const auto branch :
+       {test::PsiBranch::kChosen, test::PsiBranch::kOmegaSigma}) {
+    const auto samples = run_oracle(test::psi_oracle(branch), f);
+    std::size_t omega_sigma = 0;
+    for (const auto& s : samples) {
+      const fd::PsiValue& psi = *s.value.psi;
+      if (psi.mode != fd::PsiValue::Mode::kOmegaSigma) {
+        EXPECT_FALSE(s.value.omega.has_value() || s.value.sigma.has_value());
+        continue;
+      }
+      ++omega_sigma;
+      ASSERT_TRUE(s.value.omega.has_value() && s.value.sigma.has_value());
+      EXPECT_EQ(*s.value.omega, psi.omega) << "t=" << s.t;
+      EXPECT_EQ(*s.value.sigma, psi.sigma) << "t=" << s.t;
+    }
+    if (branch == test::PsiBranch::kOmegaSigma) EXPECT_GT(omega_sigma, 0u);
+  }
 }
 
 TEST_P(OracleSweep, TupleOmegaSigmaCarriesBothComponents) {
@@ -147,7 +225,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.crashes);
     });
 
-// Majority-mode Sigma is only defined in majority-correct environments.
+// The majority Sigma menu is drawn only in majority-correct patterns.
 TEST(SigmaMajorityModeTest, LegalWhenMajorityCorrect) {
   sim::FailurePattern f(5);
   f.crash_at(0, 50);
@@ -158,7 +236,7 @@ TEST(SigmaMajorityModeTest, LegalWhenMajorityCorrect) {
   cfg.seed = 21;
   cfg.record_fd_samples = true;
   auto s = test::nop_sim(
-      cfg, f, test::sigma_oracle(400, fd::SigmaOracle::Mode::kMajority),
+      cfg, f, test::sigma_oracle(400),
       test::random_sched());
   s.run();
   const auto r = fd::check_sigma_history(s.trace().samples(), f);

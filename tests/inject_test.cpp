@@ -276,11 +276,14 @@ TEST(ScenarioValidateTest, InjectionModeRules) {
   lossy.loss_drops = 1;
   EXPECT_EQ(ScenarioFactory::validate(lossy), "");
 
+  // The most hostile detector: per-query histories over the pattern
+  // that explored crashes reconstruct. It never stabilizes.
   ScenarioOptions adv;
   adv.problem = "qc";
-  adv.fd_adversarial = true;
+  adv.crash_mode = "explore";
+  adv.crashes = 1;
   EXPECT_EQ(ScenarioFactory::validate(adv), "");
-  adv.stabilization = 10;  // Adversarial FD never stabilizes.
+  adv.stabilization = 10;
   EXPECT_NE(ScenarioFactory::validate(adv), "");
 }
 

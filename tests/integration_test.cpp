@@ -126,7 +126,7 @@ TEST(FullTower, NbacOverQcOverConsensusWithCrash) {
     cfg.n = n;
     cfg.max_steps = 300000;
     cfg.seed = 17;
-    sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kAuto, 400),
+    sim::Simulator s(cfg, f, test::psi_fs(test::PsiBranch::kChosen, 400),
                      round_robin ? test::round_robin()
                                  : test::random_sched());
     std::vector<std::optional<nbac::Decision>> decisions(n);

@@ -32,7 +32,7 @@ using qc::QcResult;
 struct QcParam {
   std::uint64_t seed;
   int crashes;
-  fd::PsiOracle::Branch branch;
+  test::PsiBranch branch;
 };
 
 class PsiQcSweep : public ::testing::TestWithParam<QcParam> {};
@@ -43,7 +43,7 @@ TEST_P(PsiQcSweep, SatisfiesQcSpec) {
   Rng rng(prm.seed * 11 + 1);
   sim::MaxCrashesEnvironment env(n, prm.crashes);
   auto f = env.sample(rng, 2000);
-  if (prm.branch == fd::PsiOracle::Branch::kFs && f.faulty().empty()) {
+  if (prm.branch == test::PsiBranch::kFs && f.faulty().empty()) {
     f.crash_at(0, 500);  // The FS branch requires a failure.
   }
 
@@ -95,15 +95,15 @@ TEST_P(PsiQcSweep, SatisfiesQcSpec) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PsiQcSweep,
     ::testing::Values(
-        QcParam{1, 0, fd::PsiOracle::Branch::kOmegaSigma},
-        QcParam{2, 2, fd::PsiOracle::Branch::kOmegaSigma},
-        QcParam{3, 3, fd::PsiOracle::Branch::kOmegaSigma},
-        QcParam{4, 1, fd::PsiOracle::Branch::kFs},
-        QcParam{5, 3, fd::PsiOracle::Branch::kFs},
-        QcParam{6, 2, fd::PsiOracle::Branch::kAuto},
-        QcParam{7, 3, fd::PsiOracle::Branch::kAuto},
-        QcParam{8, 0, fd::PsiOracle::Branch::kAuto},
-        QcParam{9, 3, fd::PsiOracle::Branch::kAuto}));
+        QcParam{1, 0, test::PsiBranch::kOmegaSigma},
+        QcParam{2, 2, test::PsiBranch::kOmegaSigma},
+        QcParam{3, 3, test::PsiBranch::kOmegaSigma},
+        QcParam{4, 1, test::PsiBranch::kFs},
+        QcParam{5, 3, test::PsiBranch::kFs},
+        QcParam{6, 2, test::PsiBranch::kChosen},
+        QcParam{7, 3, test::PsiBranch::kChosen},
+        QcParam{8, 0, test::PsiBranch::kChosen},
+        QcParam{9, 3, test::PsiBranch::kChosen}));
 
 // ------------------------------------------------------- NBAC from QC + FS
 
@@ -114,7 +114,7 @@ struct NbacOutcome {
 
 NbacOutcome run_nbac(const sim::FailurePattern& f,
                      const std::vector<Vote>& votes, std::uint64_t seed,
-                     fd::PsiOracle::Branch branch) {
+                     test::PsiBranch branch) {
   const int n = f.n();
   sim::SimConfig cfg;
   cfg.n = n;
@@ -166,7 +166,7 @@ TEST(NbacTest, AllYesNoFailureCommits) {
   const std::vector<Vote> votes(n, Vote::kYes);
   const auto f = test::pattern(n);
   const auto out =
-      run_nbac(f, votes, 31, fd::PsiOracle::Branch::kOmegaSigma);
+      run_nbac(f, votes, 31, test::PsiBranch::kOmegaSigma);
   EXPECT_TRUE(out.all_done);
   check_nbac_spec(out, f, votes);
   for (const auto& d : out.decisions) {
@@ -183,7 +183,7 @@ TEST(NbacTest, SingleNoVoteAborts) {
   votes[2] = Vote::kNo;
   const auto f = test::pattern(n);
   const auto out =
-      run_nbac(f, votes, 37, fd::PsiOracle::Branch::kOmegaSigma);
+      run_nbac(f, votes, 37, test::PsiBranch::kOmegaSigma);
   EXPECT_TRUE(out.all_done);
   check_nbac_spec(out, f, votes);
   for (const auto& d : out.decisions) {
@@ -197,7 +197,7 @@ TEST(NbacTest, CrashBeforeVotingAborts) {
   const std::vector<Vote> votes(n, Vote::kYes);
   sim::FailurePattern f(n);
   f.crash_at(1, 0);  // Crashes before it can even announce its vote.
-  const auto out = run_nbac(f, votes, 41, fd::PsiOracle::Branch::kFs);
+  const auto out = run_nbac(f, votes, 41, test::PsiBranch::kFs);
   EXPECT_TRUE(out.all_done);
   check_nbac_spec(out, f, votes);
   for (std::size_t i = 0; i < out.decisions.size(); ++i) {
@@ -215,7 +215,7 @@ TEST(NbacTest, CrashWithOmegaSigmaBranchStillSatisfiesSpec) {
   sim::FailurePattern f(n);
   f.crash_at(3, 800);
   const auto out =
-      run_nbac(f, votes, 43, fd::PsiOracle::Branch::kOmegaSigma);
+      run_nbac(f, votes, 43, test::PsiBranch::kOmegaSigma);
   EXPECT_TRUE(out.all_done);
   check_nbac_spec(out, f, votes);
 }
@@ -232,7 +232,7 @@ TEST_P(NbacSweep, SpecHoldsUnderRandomVotesAndCrashes) {
     votes.push_back(rng.chance(4, 5) ? Vote::kYes : Vote::kNo);
   }
   const auto out = run_nbac(f, votes, GetParam(),
-                            fd::PsiOracle::Branch::kAuto);
+                            test::PsiBranch::kChosen);
   EXPECT_TRUE(out.all_done);
   check_nbac_spec(out, f, votes);
 }
@@ -250,7 +250,7 @@ TEST(QcFromNbacTest, CommitPathReturnsSmallestProposal) {
   cfg.max_steps = 150000;
   cfg.seed = 47;
   sim::Simulator s(cfg, f,
-                   test::psi_fs(fd::PsiOracle::Branch::kOmegaSigma),
+                   test::psi_fs(test::PsiBranch::kOmegaSigma),
                    test::random_sched());
   std::vector<std::optional<QcResult<int>>> results(n);
   const std::vector<int> proposals = {5, 3, 9};
@@ -280,7 +280,7 @@ TEST(QcFromNbacTest, AbortPathQuitsOnlyWithRealFailure) {
   cfg.n = n;
   cfg.max_steps = 150000;
   cfg.seed = 53;
-  sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kFs),
+  sim::Simulator s(cfg, f, test::psi_fs(test::PsiBranch::kFs),
                    test::random_sched());
   std::vector<std::optional<QcResult<int>>> results(n);
   for (int i = 0; i < n; ++i) {
@@ -310,7 +310,7 @@ TEST(FsFromNbacTest, EmulatedFsHistoryIsLegal) {
   cfg.n = n;
   cfg.max_steps = 400000;
   cfg.seed = 59;
-  sim::Simulator s(cfg, f, test::psi_fs(fd::PsiOracle::Branch::kAuto, 2000),
+  sim::Simulator s(cfg, f, test::psi_fs(test::PsiBranch::kChosen, 2000),
                    test::random_sched());
   std::vector<sim::FdSampleRecord> samples;
   for (int i = 0; i < n; ++i) {
@@ -337,7 +337,7 @@ TEST(FsFromNbacTest, StaysGreenWhenCrashFree) {
   cfg.seed = 61;
   sim::Simulator s(
       cfg, test::pattern(n),
-      test::psi_fs(fd::PsiOracle::Branch::kOmegaSigma, 500),
+      test::psi_fs(test::PsiBranch::kOmegaSigma, 500),
       test::random_sched());
   std::vector<FsFromNbacModule*> fss;
   for (int i = 0; i < n; ++i) {
@@ -372,7 +372,7 @@ TEST(MultivaluedQcTest, DecidesOneProposedValue) {
   cfg.max_steps = 150000;
   cfg.seed = 67;
   sim::Simulator s(cfg, test::pattern(n),
-                   test::psi_oracle(fd::PsiOracle::Branch::kOmegaSigma),
+                   test::psi_oracle(test::PsiBranch::kOmegaSigma),
                    test::random_sched());
   std::vector<std::optional<QcResult<std::int64_t>>> results(n);
   std::vector<std::int64_t> proposals = {1000, 2000, 3000, 4000};

@@ -7,8 +7,8 @@
 // invariants and eventuals, the fault plan and the symmetry classes. A
 // refactor of the factory that changes any of them moves a count here.
 // The base rows cover every name in ScenarioFactory::problems(); the
-// extra rows cover explored crashes, per-query and adversarial detector
-// histories, lossy links, symmetry reduction and liveness clauses.
+// extra rows cover explored crashes, per-query detector histories, lossy
+// links, symmetry reduction and liveness clauses.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,8 +49,8 @@ const std::vector<Pin>& pins() {
       {"consensus_crash_live_bug",
        {"--problem=consensus-crash-live-bug", "--depth=10"},
        5633, 10102, 91191, ""},
-      {"qc", {"--problem=qc", "--depth=10"}, 955, 1007, 4179, ""},
-      {"nbac", {"--problem=nbac", "--depth=10"}, 30157, 39748, 311611, ""},
+      {"qc", {"--problem=qc", "--depth=10"}, 19441, 29976, 255875, ""},
+      {"nbac", {"--problem=nbac", "--depth=10"}, 35227, 48517, 398151, ""},
       {"sigma", {"--problem=sigma", "--depth=10"}, 31, 3, 30, ""},
       {"register", {"--problem=register", "--depth=10"},
        5640, 17315, 163669, ""},
@@ -67,16 +67,14 @@ const std::vector<Pin>& pins() {
        16458, 18473, 160482, ""},
       {"nbac_crash_explore",
        {"--problem=nbac", "--depth=6", "--crash=explore", "--crashes=1"},
-       63875, 90874, 511908, ""},
+       63717, 90781, 511363, ""},
       {"consensus_crash_bug_explore",
        {"--problem=consensus-crash-bug", "--depth=10", "--crash=explore",
         "--crashes=1"},
        299, 233, 1559, "agreement(decide)"},
-      // Per-query and adversarial detector histories.
-      {"qc_flap", {"--problem=qc", "--depth=8", "--fd=flap"},
-       4054, 7410, 35579, ""},
-      {"qc_adversarial", {"--problem=qc", "--depth=6", "--fd=adversarial"},
-       3788, 6876, 31110, ""},
+      // Per-query detector histories (with the FD prefix invariant).
+      {"qc_flap", {"--problem=qc", "--depth=4", "--fd=flap"},
+       23620, 47141, 183266, ""},
       // Lossy links route register traffic through the quasi-reliable
       // wrapper.
       {"register_lossy", {"--problem=register", "--depth=8", "--loss=drop:1"},
@@ -87,7 +85,7 @@ const std::vector<Pin>& pins() {
        1903, 2772, 23289, ""},
       {"nbac_symmetry",
        {"--problem=nbac", "--depth=10", "--symmetry", "--nbac-no-voter=1"},
-       15776, 22180, 174061, ""},
+       17196, 25392, 208141, ""},
       {"sigma_symmetry", {"--problem=sigma", "--depth=10", "--symmetry"},
        31, 3, 30, ""},
       {"register_symmetry",

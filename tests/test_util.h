@@ -8,13 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "fd/choice_oracle.h"
 #include "fd/classic_oracles.h"
 #include "fd/heartbeat_omega.h"
-#include "fd/fs_oracle.h"
-#include "fd/omega_oracle.h"
 #include "fd/oracle.h"
-#include "fd/psi_oracle.h"
-#include "fd/sigma_oracle.h"
 #include "sim/environment.h"
 #include "sim/module.h"
 #include "sim/scheduler.h"
@@ -30,62 +27,40 @@ inline sim::FailurePattern pattern(
   return f;
 }
 
-/// Fast-converging oracles so tests keep runs short.
-inline std::unique_ptr<fd::Oracle> omega(Time stab = 400) {
-  fd::OmegaOracle::Options o;
-  o.max_stabilization = stab;
-  return std::make_unique<fd::OmegaOracle>(o);
+/// Seeded detector oracles over the given components, converging at
+/// `stab` so tests keep runs short.
+inline std::unique_ptr<fd::Oracle> seeded_oracle(fd::ChoiceOracle::Options o,
+                                                 Time stab = 400) {
+  o.stabilization = stab;
+  return std::make_unique<fd::ChoiceOracle>(o);
 }
 
-inline std::unique_ptr<fd::Oracle> sigma_oracle(
-    Time stab = 400,
-    fd::SigmaOracle::Mode mode = fd::SigmaOracle::Mode::kCommonCore) {
-  fd::SigmaOracle::Options o;
-  o.mode = mode;
-  o.max_stabilization = stab;
-  return std::make_unique<fd::SigmaOracle>(o);
+inline std::unique_ptr<fd::Oracle> omega(Time stab = 400) {
+  return seeded_oracle({.omega = true}, stab);
+}
+
+inline std::unique_ptr<fd::Oracle> sigma_oracle(Time stab = 400) {
+  return seeded_oracle({.sigma = true}, stab);
 }
 
 inline std::unique_ptr<fd::Oracle> omega_sigma(Time stab = 400) {
-  fd::OmegaOracle::Options oo;
-  oo.max_stabilization = stab;
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = stab;
-  return std::make_unique<fd::TupleOracle>(
-      std::make_unique<fd::OmegaOracle>(oo),
-      std::make_unique<fd::SigmaOracle>(so));
+  return seeded_oracle({.omega = true, .sigma = true}, stab);
 }
 
-inline std::unique_ptr<fd::Oracle> fs_oracle(Time lag = 400) {
-  fd::FsOracle::Options o;
-  o.max_reaction_lag = lag;
-  return std::make_unique<fd::FsOracle>(o);
+inline std::unique_ptr<fd::Oracle> fs_oracle(Time stab = 400) {
+  return seeded_oracle({.fs = true}, stab);
 }
+
+using PsiBranch = fd::ChoiceOracle::PsiBranch;
 
 inline std::unique_ptr<fd::Oracle> psi_oracle(
-    fd::PsiOracle::Branch branch = fd::PsiOracle::Branch::kAuto,
-    Time spread = 400, Time stab = 400) {
-  fd::PsiOracle::Options o;
-  o.branch = branch;
-  o.max_switch_spread = spread;
-  o.omega.max_stabilization = stab;
-  o.sigma.max_stabilization = stab;
-  return std::make_unique<fd::PsiOracle>(o);
+    PsiBranch branch = PsiBranch::kChosen, Time stab = 400) {
+  return seeded_oracle({.psi = true, .psi_branch = branch}, stab);
 }
 
 inline std::unique_ptr<fd::Oracle> psi_fs(
-    fd::PsiOracle::Branch branch = fd::PsiOracle::Branch::kAuto,
-    Time spread = 400, Time stab = 400) {
-  fd::FsOracle::Options fo;
-  fo.max_reaction_lag = spread;
-  fd::PsiOracle::Options po;
-  po.branch = branch;
-  po.max_switch_spread = spread;
-  po.omega.max_stabilization = stab;
-  po.sigma.max_stabilization = stab;
-  return std::make_unique<fd::TupleOracle>(
-      std::make_unique<fd::PsiOracle>(po),
-      std::make_unique<fd::FsOracle>(fo));
+    PsiBranch branch = PsiBranch::kChosen, Time stab = 400) {
+  return seeded_oracle({.fs = true, .psi = true, .psi_branch = branch}, stab);
 }
 
 /// HeartbeatOmegaModule timing for a simulator run of n processes: a

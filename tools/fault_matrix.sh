@@ -3,7 +3,7 @@
 # tools/CMakeLists.txt). Runs every injection mode against every core
 # problem at small n under a state budget:
 #
-#     {crash-explore, adversarial-FD, lossy-link}
+#     {crash-explore, per-query FD under explored crashes, lossy-link}
 #   x {consensus, qc, nbac, register}
 #
 # Claims checked per cell:
@@ -89,10 +89,10 @@ for prob in consensus qc nbac register; do
   [ -n "$crashes" ] && [ "$crashes" -gt 0 ] ||
     fail "$prob/crash: no crashes injected ($crashes)"
 
-  # --- adversarial FD: any output legal for the evolving pattern ------
-  # (overrides the per-problem --fd=static; the adversary forces
-  # per-query choice itself).
-  cell "$prob" fd --fd=adversarial
+  # --- per-query FD: any output legal for the evolving pattern --------
+  # (overrides the per-problem --fd=static; --crash=explore makes the
+  # oracle track the pattern the injected crashes reconstruct).
+  cell "$prob" fd --fd=flap --crash=explore
 
   # --- lossy links: drop budget 1 per directed link -------------------
   # The drops>0 assertion is skipped for qc: its Psi-based module is

@@ -127,16 +127,18 @@ void usage() {
       "\n"
       "--crash=explore makes crash timing a per-step exploration choice\n"
       "(--crashes becomes the injection budget, default 1); --loss gives\n"
-      "the adversary per-link drop/duplicate budgets; --fd=adversarial\n"
-      "turns every detector query into a worst-case choice against the\n"
-      "evolving failure pattern. --deadline-ms converts a long exhaustive\n"
-      "run into a cooperative cancel: partial report, frontier saved with\n"
-      "--save-state, exit 4. --liveness=<clause> checks <>[]goal instead\n"
-      "of bounded safety: after exhausting the tree the explored state\n"
-      "graph is searched for a fair goal-avoiding cycle, reported as a\n"
-      "replayable (and shrinkable) stem+loop lasso. Schedules deliver the\n"
-      "oldest pending message of each channel (per-channel FIFO);\n"
-      "--all-pending offers every pending message (non-FIFO links).\n"
+      "the adversary per-link drop/duplicate budgets; --fd=flap (the\n"
+      "default) makes every detector query a fresh choice among the\n"
+      "outputs legal for the failure pattern (with --crash=explore, the\n"
+      "evolving one), --fd=static one converged history per run.\n"
+      "--deadline-ms converts a long exhaustive run into a cooperative\n"
+      "cancel: partial report, frontier saved with --save-state, exit 4.\n"
+      "--liveness=<clause> checks <>[]goal instead of bounded safety:\n"
+      "after exhausting the tree the explored state graph is searched\n"
+      "for a fair goal-avoiding cycle, reported as a replayable (and\n"
+      "shrinkable) stem+loop lasso. Schedules deliver the oldest pending\n"
+      "message of each channel (per-channel FIFO); --all-pending offers\n"
+      "every pending message (non-FIFO links).\n"
       "\n"
       "--threads=N runs the wave-scheduled exhaustive search on N worker\n"
       "threads (results are identical for every N); in campaign mode it\n"

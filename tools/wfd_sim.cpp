@@ -22,11 +22,7 @@
 #include "broadcast/atomic_broadcast.h"
 #include "consensus/omega_sigma_consensus.h"
 #include "explore/option_text.h"
-#include "fd/fs_oracle.h"
-#include "fd/omega_oracle.h"
-#include "fd/oracle.h"
-#include "fd/psi_oracle.h"
-#include "fd/sigma_oracle.h"
+#include "fd/choice_oracle.h"
 #include "nbac/nbac_from_qc.h"
 #include "qc/psi_qc.h"
 #include "reg/abd_register.h"
@@ -129,6 +125,12 @@ bool parse(int argc, char** argv, Args& a) {
     std::fprintf(stderr, "invalid n/crashes\n");
     return false;
   }
+  const bool oracle_free = a.problem == "register" && a.rule == "majority";
+  if (!oracle_free && a.n > fd::ChoiceOracle::kMaxSigmaProcesses) {
+    std::fprintf(stderr, "the detector oracle supports n <= %d\n",
+                 fd::ChoiceOracle::kMaxSigmaProcesses);
+    return false;
+  }
   return true;
 }
 
@@ -140,10 +142,16 @@ std::unique_ptr<sim::Scheduler> make_scheduler(const Args& a) {
   return std::make_unique<sim::RandomFairScheduler>();
 }
 
-fd::PsiOracle::Branch psi_branch(const Args& a) {
-  if (a.branch == "omegasigma") return fd::PsiOracle::Branch::kOmegaSigma;
-  if (a.branch == "fs") return fd::PsiOracle::Branch::kFs;
-  return fd::PsiOracle::Branch::kAuto;
+/// The run's detector: a ChoiceOracle over `o`'s components, seeded by
+/// the run and converged from --stab on, with Psi on --branch.
+std::unique_ptr<fd::Oracle> oracle(const Args& a, fd::ChoiceOracle::Options o) {
+  o.stabilization = a.stabilization;
+  if (o.psi && a.branch == "omegasigma") {
+    o.psi_branch = fd::ChoiceOracle::PsiBranch::kOmegaSigma;
+  } else if (o.psi && a.branch == "fs") {
+    o.psi_branch = fd::ChoiceOracle::PsiBranch::kFs;
+  }
+  return std::make_unique<fd::ChoiceOracle>(o);
 }
 
 sim::FailurePattern make_pattern(const Args& a) {
@@ -167,15 +175,9 @@ void report_run(const sim::Simulator& s, const sim::RunResult& res) {
 }
 
 int run_consensus(const Args& a) {
-  fd::OmegaOracle::Options oo;
-  oo.max_stabilization = a.stabilization;
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = a.stabilization;
   sim::SimConfig cfg{a.n, a.steps, a.seed, false};
   sim::Simulator s(cfg, make_pattern(a),
-                   std::make_unique<fd::TupleOracle>(
-                       std::make_unique<fd::OmegaOracle>(oo),
-                       std::make_unique<fd::SigmaOracle>(so)),
+                   oracle(a, {.omega = true, .sigma = true}),
                    make_scheduler(a));
   std::vector<std::optional<int>> decisions(a.n);
   for (int i = 0; i < a.n; ++i) {
@@ -199,17 +201,13 @@ int run_consensus(const Args& a) {
 }
 
 int run_qc(const Args& a) {
-  fd::PsiOracle::Options po;
-  po.branch = psi_branch(a);
-  po.max_switch_spread = a.stabilization;
   sim::FailurePattern f = make_pattern(a);
-  if (po.branch == fd::PsiOracle::Branch::kFs && f.faulty().empty()) {
+  if (a.branch == "fs" && f.faulty().empty()) {
     std::fprintf(stderr, "--branch=fs requires --crashes >= 1\n");
     return 1;
   }
   sim::SimConfig cfg{a.n, a.steps, a.seed, false};
-  sim::Simulator s(cfg, f, std::make_unique<fd::PsiOracle>(po),
-                   make_scheduler(a));
+  sim::Simulator s(cfg, f, oracle(a, {.psi = true}), make_scheduler(a));
   std::vector<std::optional<qc::QcResult<int>>> results(a.n);
   for (int i = 0; i < a.n; ++i) {
     auto& host = s.add_process<sim::ModularProcess>();
@@ -231,21 +229,13 @@ int run_qc(const Args& a) {
 }
 
 int run_nbac(const Args& a) {
-  fd::PsiOracle::Options po;
-  po.branch = psi_branch(a);
-  po.max_switch_spread = a.stabilization;
-  fd::FsOracle::Options fo;
-  fo.max_reaction_lag = a.stabilization;
   sim::FailurePattern f = make_pattern(a);
-  if (po.branch == fd::PsiOracle::Branch::kFs && f.faulty().empty()) {
+  if (a.branch == "fs" && f.faulty().empty()) {
     std::fprintf(stderr, "--branch=fs requires --crashes >= 1\n");
     return 1;
   }
   sim::SimConfig cfg{a.n, a.steps, a.seed, false};
-  sim::Simulator s(cfg, f,
-                   std::make_unique<fd::TupleOracle>(
-                       std::make_unique<fd::PsiOracle>(po),
-                       std::make_unique<fd::FsOracle>(fo)),
+  sim::Simulator s(cfg, f, oracle(a, {.fs = true, .psi = true}),
                    make_scheduler(a));
   std::vector<std::optional<nbac::Decision>> decisions(a.n);
   for (int i = 0; i < a.n; ++i) {
@@ -271,12 +261,9 @@ int run_nbac(const Args& a) {
 int run_register(const Args& a) {
   const bool sigma = a.rule != "majority";
   sim::SimConfig cfg{a.n, a.steps, a.seed, false};
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = a.stabilization;
-  auto oracle = sigma ? std::unique_ptr<fd::Oracle>(
-                            std::make_unique<fd::SigmaOracle>(so))
-                      : std::make_unique<fd::NullOracle>();
-  sim::Simulator s(cfg, make_pattern(a), std::move(oracle),
+  sim::Simulator s(cfg, make_pattern(a),
+                   sigma ? oracle(a, {.sigma = true})
+                         : std::make_unique<fd::NullOracle>(),
                    make_scheduler(a));
   reg::History history;
   reg::AbdRegisterModule<std::int64_t>::Options ropt;
@@ -299,15 +286,9 @@ int run_register(const Args& a) {
 }
 
 int run_abcast(const Args& a) {
-  fd::OmegaOracle::Options oo;
-  oo.max_stabilization = a.stabilization;
-  fd::SigmaOracle::Options so;
-  so.max_stabilization = a.stabilization;
   sim::SimConfig cfg{a.n, a.steps, a.seed, false};
   sim::Simulator s(cfg, make_pattern(a),
-                   std::make_unique<fd::TupleOracle>(
-                       std::make_unique<fd::OmegaOracle>(oo),
-                       std::make_unique<fd::SigmaOracle>(so)),
+                   oracle(a, {.omega = true, .sigma = true}),
                    make_scheduler(a));
   std::vector<broadcast::AtomicBroadcastModule*> abs;
   for (int i = 0; i < a.n; ++i) {
