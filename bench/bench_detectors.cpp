@@ -119,6 +119,21 @@ void BM_OracleQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleQuery);
 
+// The same queries with no stabilization: every answer is a seeded pick
+// from the full menu, the per-query (flap) path.
+void BM_OracleQueryFlapping(benchmark::State& state) {
+  const int n = 8;
+  sim::FailurePattern f(n);
+  fd::ChoiceOracle om({.omega = true});
+  om.begin_run(f, 1, 1 << 20);
+  Time t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(om.query(static_cast<ProcessId>(t % n), t));
+    ++t;
+  }
+}
+BENCHMARK(BM_OracleQueryFlapping);
+
 }  // namespace
 }  // namespace wfd::bench
 

@@ -311,6 +311,7 @@ void BM_LivenessOverhead(benchmark::State& state) {
   state.counters["runs"] = static_cast<double>(last.runs);
   state.counters["graph_states"] = static_cast<double>(last.graph_states);
   state.counters["graph_edges"] = static_cast<double>(last.graph_edges);
+  state.counters["fingerprints"] = static_cast<double>(last.fingerprints);
   state.counters["exhausted"] = last.exhausted ? 1 : 0;
 }
 BENCHMARK(BM_LivenessOverhead)

@@ -225,6 +225,9 @@ class UnitEngine {
       // begin_run picks and is identical across runs and units).
       const LivenessClause* goal = nullptr;
       std::uint64_t cur_fp = 0;
+      // Liveness mode: steps whose frames all lie below the frame the
+      // last backtrack flipped repeat the previous run's transitions.
+      const std::size_t unchanged = trail_.empty() ? 0 : replay_len - 1;
       if (liveness_) {
         WFD_CHECK_MSG(!sc.liveness.empty(),
                       "liveness scenario built no clause");
@@ -244,6 +247,7 @@ class UnitEngine {
       }
       std::optional<Violation> violation;
       std::uint64_t run_steps = 0;
+      std::size_t traced = 0;  // Steps that reached the liveness block.
       bool pruned = false;
       while (!run_blocked_) {
         // Once per step, so at least once per choice-point expansion.
@@ -255,6 +259,7 @@ class UnitEngine {
         if (!sc.sim->step()) break;
         ++run_steps;
         if (run_blocked_) break;
+        if (source.pos() < replay_len) ++res_.delta.replayed_steps;
         if (dpor) {
           // The schedule frame consumed by this step, if the step was
           // an actual choice (forced moves never reach choose()).
@@ -275,14 +280,28 @@ class UnitEngine {
         // Liveness mode: record every executed step's transition, even
         // while replaying — a backtrack flips the chosen option of an
         // existing frame, so the "replayed" flipped step is in fact a
-        // new transition. add_live_edge dedups by decision block.
+        // new transition. add_live_edge dedups by decision block. A step
+        // on the unchanged prefix is the previous run's step: its
+        // fingerprint comes from the trail, and its edge, enabled and
+        // deliverable bits and goal bit are already in the overlay.
         std::optional<std::uint64_t> fp;
         if (liveness_) {
+          const std::size_t i = run_steps - 1;
+          traced = run_steps;
+          if (i < trail_.size() && source.pos() <= unchanged) {
+            WFD_CHECK_MSG(trail_[i].pos == source.pos(),
+                          "replayed step consumed other frames than "
+                          "last run");
+            cur_fp = trail_[i].fp;
+            continue;  // Inside the replay prefix: nothing to prune.
+          }
+          trail_.resize(i);
           fp = fingerprint(sc);
           WFD_CHECK_MSG(fp.has_value(),
                         "liveness mode requires a complete state encoding");
           record_transition(sc, *goal, cur_fp, *fp, pos_before, source.pos());
           cur_fp = *fp;
+          trail_.push_back(TrailStep{source.pos(), cur_fp});
         }
 
         if (source.pos() < replay_len) continue;  // Still replaying.
@@ -310,6 +329,8 @@ class UnitEngine {
         const auto [it, fresh] = res_.fps_overlay.emplace(*fp, t);
         if (!fresh && it->second > t) it->second = t;
       }
+      // The next run may reuse only what this run traced.
+      if (liveness_) trail_.resize(std::min(trail_.size(), traced));
       // Liveness mode: a run that ended only because the horizon ran
       // out leaves its final state's future unexplored — mark it, so
       // the fair-cycle verdict can confess where it is silent. Runs
@@ -858,8 +879,8 @@ class UnitEngine {
   /// runs differing only by a renaming of interchangeable processes
   /// merge. nullopt when any component is opaque (pruning would be
   /// unsound).
-  [[nodiscard]] std::optional<std::uint64_t> fingerprint(
-      const Scenario& sc) const {
+  [[nodiscard]] std::optional<std::uint64_t> fingerprint(const Scenario& sc) {
+    ++res_.delta.fingerprints;
     const auto one = [&sc](const std::vector<ProcessId>* perm)
         -> std::optional<std::uint64_t> {
       sim::StateEncoder enc(perm);
@@ -980,6 +1001,14 @@ class UnitEngine {
   /// reported by the scheduler's note_enabled hook — captured even for
   /// singleton menus that never reach choose().
   std::vector<std::uint64_t> menu_;
+  /// Liveness mode: per step of the last run, the source position after
+  /// the step and the state fingerprint it reached. Per engine, so it
+  /// starts empty at every unit.
+  struct TrailStep {
+    std::size_t pos = 0;
+    std::uint64_t fp = 0;
+  };
+  std::vector<TrailStep> trail_;
   /// Dedup of deferred insertions: one op per (depth, label) per wave.
   std::set<std::pair<std::size_t, std::uint64_t>> defer_seen_;
 
@@ -1127,6 +1156,8 @@ void merge_stats(ExploreStats& into, const ExploreStats& d) {
   into.injected_crashes += d.injected_crashes;
   into.injected_drops += d.injected_drops;
   into.injected_dups += d.injected_dups;
+  into.fingerprints += d.fingerprints;
+  into.replayed_steps += d.replayed_steps;
   into.violations += d.violations;
 }
 

@@ -104,6 +104,12 @@ struct ExploreStats {
   std::uint64_t injected_crashes = 0;
   std::uint64_t injected_drops = 0;
   std::uint64_t injected_dups = 0;
+  /// State fingerprints computed, the root of every run included (a
+  /// --symmetry canonicalization counts once).
+  std::uint64_t fingerprints = 0;
+  /// Steps executed inside the replay prefix (re-executions of the
+  /// path the unit already walked).
+  std::uint64_t replayed_steps = 0;
   std::uint64_t violations = 0;   ///< Violating runs found.
   bool exhausted = false;         ///< Whole tree visited within budget.
   // Liveness (fair-cycle) mode only — all zero otherwise.

@@ -273,6 +273,8 @@ void stats_to_text(std::ostream& out, const ExploreStats& st) {
   out << "injected_crashes=" << st.injected_crashes << "\n";
   out << "injected_drops=" << st.injected_drops << "\n";
   out << "injected_dups=" << st.injected_dups << "\n";
+  out << "fingerprints=" << st.fingerprints << "\n";
+  out << "replayed_steps=" << st.replayed_steps << "\n";
   out << "violations=" << st.violations << "\n";
   out << "exhausted=" << (st.exhausted ? 1 : 0) << "\n";
   // Not `liveness=`: that key belongs to the scenario header (the
@@ -308,6 +310,10 @@ bool stats_apply(ExploreStats& st, const std::string& key,
     *ok = parse_u64(val, &st.injected_drops);
   } else if (key == "injected_dups") {
     *ok = parse_u64(val, &st.injected_dups);
+  } else if (key == "fingerprints") {
+    *ok = parse_u64(val, &st.fingerprints);
+  } else if (key == "replayed_steps") {
+    *ok = parse_u64(val, &st.replayed_steps);
   } else if (key == "violations") {
     *ok = parse_u64(val, &st.violations);
   } else if (key == "exhausted") {

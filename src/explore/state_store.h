@@ -123,8 +123,11 @@ struct StateSnapshot {
   /// dropped the fd_adversarial header field (per-query histories under
   /// crash_mode=explore are the same tree) and let Psi's (Omega, Sigma)
   /// branch fill the omega/sigma components, which changes the
-  /// fingerprints of every Psi scenario.
-  static constexpr std::uint32_t kVersion = 7;
+  /// fingerprints of every Psi scenario. v8 added the fingerprints and
+  /// replayed_steps stats counters; a v7 file lacks them, so a search
+  /// resumed from it would report counts that no single-shot search
+  /// produces.
+  static constexpr std::uint32_t kVersion = 8;
   std::uint32_t version = kVersion;
 
   /// Only the search-header fields (scenario + reduction levers) are

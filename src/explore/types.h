@@ -28,7 +28,7 @@ struct Counterexample {
   /// entry and `loop` the decision block whose endless repetition is
   /// the violating fair run — replaying stem + loop returns to the
   /// cycle-entry state fingerprint. Empty for safety counterexamples.
-  sim::DecisionLog loop;
+  sim::DecisionLog loop{};
   std::uint64_t loop_steps = 0;  ///< Simulator steps one unrolling takes.
 };
 

@@ -24,24 +24,25 @@ std::size_t ChoiceOracle::pick(const std::vector<std::uint64_t>& labels) {
 }
 
 ProcessId ChoiceOracle::pick_member(const ProcessSet& s) {
-  std::vector<std::uint64_t> labels;
-  for (ProcessId p : s.members()) {
-    labels.push_back(static_cast<std::uint64_t>(p));
+  labels_.clear();
+  // Members in increasing id order, as ProcessSet::members() lists them.
+  for (std::uint64_t b = s.raw(); b != 0; b &= b - 1) {
+    labels_.push_back(static_cast<std::uint64_t>(__builtin_ctzll(b)));
   }
-  return static_cast<ProcessId>(labels[pick(labels)]);
+  return static_cast<ProcessId>(labels_[pick(labels_)]);
 }
 
 ProcessSet ChoiceOracle::pick_quorum(const ProcessSet& pool) {
-  std::vector<std::uint64_t> labels;
+  labels_.clear();
   if (core_ == kNoProcess) {
     for (const ProcessSet& q : majorities_) {
-      if (q.is_subset_of(pool)) labels.push_back(q.raw());
+      if (q.is_subset_of(pool)) labels_.push_back(q.raw());
     }
   } else {
-    labels.push_back(ProcessSet{core_}.raw());
-    if (pool != ProcessSet{core_}) labels.push_back(pool.raw());
+    labels_.push_back(ProcessSet{core_}.raw());
+    if (pool != ProcessSet{core_}) labels_.push_back(pool.raw());
   }
-  return ProcessSet::from_raw(labels[pick(labels)]);
+  return ProcessSet::from_raw(labels_[pick(labels_)]);
 }
 
 void ChoiceOracle::begin_run(const sim::FailurePattern& f, std::uint64_t seed,

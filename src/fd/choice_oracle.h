@@ -114,6 +114,9 @@ class ChoiceOracle : public Oracle {
   FsColor fs_value(std::vector<bool>& red_latch, ProcessId p, Time t);
   PsiValue psi_value(ProcessId p, Time t);
 
+  /// The menu of the pick in progress, reused so a query allocates
+  /// nothing once the buffer has grown.
+  std::vector<std::uint64_t> labels_;
   /// Null in seeded mode, where `seeded_` answers instead.
   sim::ChoiceSource* choices_;
   std::optional<sim::RandomChoices> seeded_;

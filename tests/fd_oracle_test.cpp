@@ -172,7 +172,9 @@ TEST_P(OracleSweep, PsiOmegaSigmaModeFillsOmegaAndSigma) {
       EXPECT_EQ(*s.value.omega, psi.omega) << "t=" << s.t;
       EXPECT_EQ(*s.value.sigma, psi.sigma) << "t=" << s.t;
     }
-    if (branch == test::PsiBranch::kOmegaSigma) EXPECT_GT(omega_sigma, 0u);
+    if (branch == test::PsiBranch::kOmegaSigma) {
+      EXPECT_GT(omega_sigma, 0u);
+    }
   }
 }
 

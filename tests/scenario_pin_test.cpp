@@ -31,6 +31,9 @@ struct Pin {
   std::uint64_t steps;
   /// Property of the expected violation; empty for a clean exhaust.
   std::string violation;
+  /// Liveness rows: the state graph the fair-cycle search ran on.
+  std::uint64_t graph_states = 0;
+  std::uint64_t graph_edges = 0;
 };
 
 void PrintTo(const Pin& p, std::ostream* os) { *os << p.id; }
@@ -95,15 +98,15 @@ const std::vector<Pin>& pins() {
       {"consensus_leadership",
        {"--problem=consensus", "--depth=8", "--liveness=leadership",
         "--reduction=none"},
-       3777, 15001, 104923, ""},
+       3777, 15001, 104923, "", 1775, 6339},
       {"rb_termination",
        {"--problem=rb", "--depth=10", "--liveness=termination",
         "--reduction=none"},
-       409, 2282, 18855, ""},
+       409, 2282, 18855, "", 294, 928},
       {"omega_impl_completeness",
        {"--problem=omega-impl", "--depth=6", "--liveness=fd-completeness",
         "--reduction=none"},
-       1022, 5773, 34492, ""},
+       1022, 5773, 34492, "", 5572, 6166},
   };
   return kPins;
 }
@@ -130,6 +133,8 @@ TEST_P(ScenarioPinTest, CountsMatchPin) {
   EXPECT_EQ(rep.stats.nodes, p.states);
   EXPECT_EQ(rep.stats.runs, p.runs);
   EXPECT_EQ(rep.stats.steps, p.steps);
+  EXPECT_EQ(rep.stats.graph_states, p.graph_states);
+  EXPECT_EQ(rep.stats.graph_edges, p.graph_edges);
   EXPECT_EQ(rep.cex.has_value() ? rep.cex->violation.property : "",
             p.violation);
   if (!rep.cex.has_value()) {

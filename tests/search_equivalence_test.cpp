@@ -45,8 +45,13 @@ void expect_same_stats(const ExploreStats& a, const ExploreStats& b,
   EXPECT_EQ(a.injected_crashes, b.injected_crashes) << what;
   EXPECT_EQ(a.injected_drops, b.injected_drops) << what;
   EXPECT_EQ(a.injected_dups, b.injected_dups) << what;
+  EXPECT_EQ(a.fingerprints, b.fingerprints) << what;
+  EXPECT_EQ(a.replayed_steps, b.replayed_steps) << what;
   EXPECT_EQ(a.violations, b.violations) << what;
   EXPECT_EQ(a.exhausted, b.exhausted) << what;
+  EXPECT_EQ(a.graph_states, b.graph_states) << what;
+  EXPECT_EQ(a.graph_edges, b.graph_edges) << what;
+  EXPECT_EQ(a.graph_truncated, b.graph_truncated) << what;
 }
 
 /// Runs the scenario at threads = 1, 2, 8 and requires the T=1 report
@@ -65,6 +70,7 @@ void expect_thread_invariant(const SearchConfig& base, const char* what) {
     const ExploreReport rep = ex.run();
     expect_same_stats(ref.stats, rep.stats, what);
     EXPECT_EQ(coverage(ref.stats), coverage(rep.stats)) << what;
+    EXPECT_EQ(ref.fair_cycle_checked, rep.fair_cycle_checked) << what;
     EXPECT_EQ(ref.cex.has_value(), rep.cex.has_value()) << what;
     if (ref.cex.has_value() && rep.cex.has_value()) {
       EXPECT_EQ(ref.cex->violation.property, rep.cex->violation.property)
@@ -81,9 +87,28 @@ TEST(ParallelEquivalenceTest, ExploredCrashesAreThreadCountInvariant) {
   cfg.scenario.max_steps = 10;
   cfg.scenario.fd_per_query = false;
   cfg.scenario.crash_mode = "explore";
+  cfg.scenario.crashes = 1;
   cfg.max_states = 0;
   cfg.stop_at_first = false;
   expect_thread_invariant(cfg, "consensus n=3 crash=explore");
+}
+
+// Termination under explored crashes: each unit records its own graph
+// overlay and its own step trail (the replay-prefix fingerprint reuse),
+// so the merged graph and the fingerprint count are thread-invariant.
+TEST(ParallelEquivalenceTest, LivenessGraphIsThreadCountInvariant) {
+  SearchConfig cfg;
+  cfg.scenario.problem = "consensus";
+  cfg.scenario.n = 3;
+  cfg.scenario.max_steps = 8;
+  cfg.scenario.fd_per_query = false;
+  cfg.scenario.crash_mode = "explore";
+  cfg.scenario.crashes = 1;
+  cfg.scenario.liveness = "termination";
+  cfg.reduction = Reduction::kNone;
+  cfg.max_states = 0;
+  cfg.stop_at_first = false;
+  expect_thread_invariant(cfg, "consensus n=3 crash=explore liveness");
 }
 
 TEST(ParallelEquivalenceTest, SymmetryComposesWithThreads) {

@@ -330,12 +330,14 @@ TEST(StateStoreTest, OldFormatVersionIsIncompatibleNotCorrupt) {
   // mistake receiver bits for sender-0 channel bits and carry
   // sender-less delivery edges, so it is refused the same way. The
   // v5->v6 bump removed the dependence / fault_dependence levers (see
-  // V5HeaderNamingRemovedLeversIsRefused).
+  // V5HeaderNamingRemovedLeversIsRefused). The v7->v8 bump added the
+  // fingerprints / replayed_steps counters: a v7 file would resume them
+  // from zero and report totals no single-shot search produces.
   const std::string tag =
       "snapshot_version=" + std::to_string(StateSnapshot::kVersion);
   const std::string want_current =
       "version " + std::to_string(StateSnapshot::kVersion);
-  for (const int old_version : {2, 3, 4, 5}) {
+  for (const int old_version : {2, 3, 4, 5, 6, 7}) {
     std::string old = to_text(sample_snapshot());
     const std::size_t at = old.find(tag);
     ASSERT_NE(at, std::string::npos);
@@ -498,6 +500,9 @@ void expect_stats_eq(const ExploreStats& a, const ExploreStats& b) {
   EXPECT_EQ(a.hb_races, b.hb_races);
   EXPECT_EQ(a.backtrack_points, b.backtrack_points);
   EXPECT_EQ(a.commute_skips, b.commute_skips);
+  EXPECT_EQ(a.injected_crashes, b.injected_crashes);
+  EXPECT_EQ(a.fingerprints, b.fingerprints);
+  EXPECT_EQ(a.replayed_steps, b.replayed_steps);
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.exhausted, b.exhausted);
   EXPECT_EQ(a.liveness, b.liveness);
@@ -615,6 +620,39 @@ TEST(ResumeTest, LivenessSplitSearchMatchesSingleShotOnCleanTree) {
   EXPECT_FALSE(split.cex.has_value());
   expect_stats_eq(split.last.stats, whole.stats);
   EXPECT_EQ(coverage(split.last.stats), coverage(whole.stats));
+}
+
+TEST(ResumeTest, LivenessCrashSplitSearchMatchesSingleShot) {
+  // Termination under explored crashes, split into installments. Every
+  // unit starts with an empty step trail, so the fingerprints skipped on
+  // replay prefixes add up to the single-shot count and the graph is the
+  // same.
+  ScenarioOptions scenario;
+  scenario.problem = "consensus";
+  scenario.n = 3;
+  scenario.max_steps = 8;
+  scenario.fd_per_query = false;
+  scenario.crash_mode = "explore";
+  scenario.crashes = 1;
+  scenario.liveness = "termination";
+  Explorer single(ScenarioFactory(scenario).builder(),
+                  liveness_config(scenario));
+  const ExploreReport whole = single.run();
+  ASSERT_TRUE(whole.stats.exhausted);
+  ASSERT_TRUE(whole.fair_cycle_checked);
+  ASSERT_FALSE(whole.cex.has_value());
+  // The trail skipped prefix digests: fewer than one per executed step
+  // plus one root per run.
+  EXPECT_LT(whole.stats.fingerprints, whole.stats.steps + whole.stats.runs);
+  EXPECT_GT(whole.stats.injected_crashes, 0u);
+
+  const SplitResult split =
+      run_split(scenario, liveness_config(scenario), 2000,
+                testing::TempDir() + "wfd_resume_livecrash.wfds");
+  ASSERT_GE(split.resumes, 2) << "budget too large to exercise resume";
+  EXPECT_TRUE(split.last.fair_cycle_checked);
+  EXPECT_FALSE(split.cex.has_value());
+  expect_stats_eq(split.last.stats, whole.stats);
 }
 
 TEST(ResumeTest, MismatchedScenarioIsRejected) {

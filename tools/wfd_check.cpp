@@ -433,6 +433,7 @@ int run_exhaustive(const Args& a) {
         "\"fp_prunes\":%llu,\"hb_races\":%llu,\"backtrack_points\":%llu,"
         "\"commute_skips\":%llu,\"injected_crashes\":%llu,"
         "\"injected_drops\":%llu,\"injected_dups\":%llu,"
+        "\"fingerprints\":%llu,\"replayed_steps\":%llu,"
         "\"conservative_payloads\":%s,"
         "\"status\":\"%s\",\"coverage\":\"%s\","
         "\"resumed\":%s,\"resume_generation\":%llu,"
@@ -448,6 +449,8 @@ int run_exhaustive(const Args& a) {
         static_cast<unsigned long long>(st.injected_crashes),
         static_cast<unsigned long long>(st.injected_drops),
         static_cast<unsigned long long>(st.injected_dups),
+        static_cast<unsigned long long>(st.fingerprints),
+        static_cast<unsigned long long>(st.replayed_steps),
         conservative_to_json(rep.conservative_payloads).c_str(),
         st.exhausted   ? "exhausted"
         : deadline_hit ? "deadline"
@@ -481,6 +484,9 @@ int run_exhaustive(const Args& a) {
         : deadline_hit        ? "deadline reached"
                               : "budget reached",
         cov.c_str());
+    std::printf("fingerprints: %llu computed, %llu replayed steps\n",
+                static_cast<unsigned long long>(st.fingerprints),
+                static_cast<unsigned long long>(st.replayed_steps));
     if (st.injected_crashes + st.injected_drops + st.injected_dups != 0) {
       std::printf(
           "injected faults: %llu crashes, %llu drops, %llu duplicates\n",
